@@ -75,8 +75,8 @@ const (
 func NewJobManager() *JobManager { return jobs.NewManager() }
 
 // Durable job service: a job manager whose lifecycle survives restarts
-// (WAL + snapshot under ServiceConfig.Dir) with a dispatcher pool that
-// executes pending jobs with per-job cancellation.
+// (an LSM job store under ServiceConfig.Dir) with a dispatcher pool
+// that executes pending jobs with per-job cancellation.
 type (
 	JobState         = jobs.State
 	JobStatus        = jobs.Status

@@ -2,12 +2,13 @@
 //
 //	cdas-storectl migrate -dir /var/lib/cdas/jobs
 //
-// migrate converts a WAL-engine store (the pre-lsm default) to the LSM
-// engine in place: it replays the WAL store, writes an equivalent LSM
-// store — every job's primary record plus its state/priority/tenant
-// index entries in atomic batches — verifies the two views are
-// deep-equal, and only then retires the WAL files (renamed *.retired;
-// renaming them back is the rollback). The conversion is idempotent
+// migrate converts a store written by the legacy WAL engine to the LSM
+// engine, the only one cdas-server runs, in place: it replays the WAL
+// store, writes an equivalent LSM store — every job's record, the
+// budget ledger and the stream marks, in atomic batches — verifies the
+// two views are deep-equal, and only then retires the WAL files
+// (renamed *.retired; renaming them back is the rollback, for an older
+// cdas-server that still reads them). The conversion is idempotent
 // and resumable: re-running after an interruption discards the partial
 // LSM store and starts over from the still-authoritative WAL, and
 // re-running after success is a no-op. A store held open by a live
@@ -45,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 func runMigrate(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cdas-storectl migrate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	dir := fs.String("dir", "", "job store directory (cdas-server's -store-dir)")
+	dir := fs.String("dir", "", "job store directory (cdas-server's -store)")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -77,6 +78,6 @@ func runMigrate(args []string, stdout, stderr io.Writer) int {
 	for _, f := range res.Retired {
 		logf("retired %s", f)
 	}
-	logf("done: start cdas-server with -store-engine=lsm (the default); to roll back, remove the lsm files and rename the retired files back")
+	logf("done: start cdas-server with -store %s; to roll back, remove the lsm files and rename the retired files back", *dir)
 	return 0
 }

@@ -1,68 +1,41 @@
 package main
 
-// In-process CLI tests: seed a WAL store through the real service,
-// drive the migrate subcommand via run(), and boot the result as an
-// LSM-engine service.
+// In-process CLI tests: copy a WAL-engine store written by the last
+// release that ran that engine, drive the migrate subcommand via run(),
+// and boot the result as an LSM-engine service.
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"cdas/internal/jobs"
 )
 
+// seedStore copies the jobs package's legacy WAL-store fixture into dir.
 func seedStore(t *testing.T, dir string) {
 	t.Helper()
-	s, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Engine: jobs.EngineWAL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"alpha", "beta", "gamma"} {
-		job := jobs.Job{
-			Name:   name,
-			Kind:   jobs.KindTSA,
-			Tenant: "acme",
-			Query: jobs.Query{
-				Keywords:         []string{"iPhone4S"},
-				RequiredAccuracy: 0.95,
-				Domain:           []string{"Good", "Bad"},
-				Start:            time.Date(2011, 10, 14, 0, 0, 0, 0, time.UTC),
-				Window:           24 * time.Hour,
-			},
-		}
-		if _, err := s.Submit(job); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := s.Claim(); !ok {
-		t.Fatal("claim failed")
-	}
-	if err := s.Complete("alpha", 2.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ChargeBudget("alpha", 2.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
+	src := filepath.Join("..", "..", "internal", "jobs", "testdata", "wal-store")
+	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestStorectlMigrate(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "store")
 	seedStore(t, dir)
 
 	var out, errOut bytes.Buffer
 	if code := run([]string{"migrate", "-dir", dir}, &out, &errOut); code != 0 {
 		t.Fatalf("migrate exited %d: %s%s", code, out.String(), errOut.String())
 	}
-	if !strings.Contains(out.String(), "migrated 3 jobs") {
+	if !strings.Contains(out.String(), "migrated 5 jobs") {
 		t.Fatalf("output missing job count:\n%s", out.String())
 	}
 
-	r, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Engine: jobs.EngineLSM})
+	r, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("boot migrated store: %v", err)
 	}
@@ -71,7 +44,7 @@ func TestStorectlMigrate(t *testing.T) {
 	if !ok || st.State != jobs.StateDone || st.Cost != 2.5 {
 		t.Fatalf("alpha after migration = %+v/%v", st, ok)
 	}
-	if b := r.Budget(); b.GlobalSpent != 2.5 {
+	if b := r.Budget(); b.GlobalSpent != 3.69 {
 		t.Fatalf("budget after migration = %+v", b)
 	}
 

@@ -147,11 +147,12 @@ func submission(name string) JobSubmission {
 // then restart onto the same store and assert the replay resumed
 // exactly the unfinished job — completed and cancelled jobs keep their
 // states and costs, and nothing runs twice. The whole scenario runs
-// once per storage engine: the WAL+snapshot log and the LSM store must
-// survive the same crash identically.
+// once per accepted engine setting: empty (cdas-server's
+// configuration) and an explicit EngineLSM must both boot the LSM
+// store and survive the same crash identically.
 func TestJobServiceEndToEnd(t *testing.T) {
-	for _, engine := range []string{jobs.EngineWAL, jobs.EngineLSM} {
-		t.Run(engine, func(t *testing.T) { testJobServiceEndToEnd(t, engine) })
+	for name, engine := range map[string]string{"default": "", "lsm": jobs.EngineLSM} {
+		t.Run(name, func(t *testing.T) { testJobServiceEndToEnd(t, engine) })
 	}
 }
 

@@ -80,7 +80,7 @@ func (d *Dispatcher) Start() {
 // are interrupted and requeued to Pending, then Stop waits for every
 // worker to finish committing. A stopped Dispatcher cannot be
 // restarted — the requeued jobs are picked up by a new Dispatcher on
-// the same Service, or after a restart's WAL replay. Safe to call more
+// the same Service, or after a restart's recovery. Safe to call more
 // than once.
 func (d *Dispatcher) Stop() {
 	d.stop()

@@ -2,7 +2,9 @@
 // it accepts analytics job registrations, validates their queries, and
 // produces processing plans that partition each job into computer-oriented
 // tasks (run by the program executor) and human-oriented tasks (run by the
-// crowdsourcing engine).
+// crowdsourcing engine). Service makes the job lifecycle durable through
+// the jobstore LSM engine; MigrateStore converts a store written by the
+// legacy WAL engine, which OpenService refuses to boot.
 package jobs
 
 import (
@@ -79,7 +81,7 @@ const (
 // stream origin and Query.Window the tumbling event-time window width;
 // there is no upper time bound — the query stands until its source ends
 // or it is cancelled. All fields are durable (they ride the job record
-// through the WAL/LSM store) so a restarted server rebuilds the exact
+// through the job store) so a restarted server rebuilds the exact
 // same stream.
 type StreamSpec struct {
 	// Lateness is the watermark lag: a window [s, e) closes once an
@@ -146,7 +148,7 @@ const (
 // answer domain, accuracy requirement or time window — the stopping
 // rule is the species-estimation completeness bound plus the ledger's
 // marginal-value admission. All fields are durable (they ride the job
-// record through the WAL/LSM store).
+// record through the job store).
 type EnumSpec struct {
 	// ItemValue is the worth of one newly discovered set member, in the
 	// same currency as HIT prices. The next HIT batch is admitted only

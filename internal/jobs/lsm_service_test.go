@@ -1,10 +1,10 @@
 package jobs
 
-// Tests for the EngineLSM service backend: round-trip recovery, the
+// Tests for the LSM service backend: round-trip recovery, the
 // service-level crash-equivalence harness (random lifecycle op
 // sequences against an in-memory reference model with a crash injected
-// at every storage failpoint), and property tests pinning the
-// in-memory and persistent secondary indexes to the primary records.
+// at every storage failpoint), a property test pinning the in-memory
+// indexes to the table, and the store's one-key-per-record keyspace.
 
 import (
 	"encoding/json"
@@ -27,19 +27,23 @@ func tenantJob(name, tenant string, priority int) Job {
 }
 
 func TestOpenServiceUnknownEngine(t *testing.T) {
-	_, err := OpenService(ServiceConfig{Dir: t.TempDir(), Engine: "btree"})
-	if err == nil || !strings.Contains(err.Error(), "unknown storage engine") {
-		t.Fatalf("err = %v, want unknown storage engine", err)
+	// "wal" named the removed append-only engine; it is unknown now.
+	for _, engine := range []string{"btree", "wal"} {
+		_, err := OpenService(ServiceConfig{Dir: t.TempDir(), Engine: engine})
+		if err == nil || !strings.Contains(err.Error(), "unknown storage engine") {
+			t.Fatalf("engine %q: err = %v, want unknown storage engine", engine, err)
+		}
 	}
 }
 
-// TestServiceCloseIdempotent pins the Close contract for both engines:
+// TestServiceCloseIdempotent pins the Close contract for both accepted
+// engine settings (empty and EngineLSM):
 // Close twice is fine, Durable flips to false, reads keep working, and
 // every post-Close mutation fails with ErrServiceClosed (after rolling
 // back, so memory never acknowledges more than disk).
 func TestServiceCloseIdempotent(t *testing.T) {
-	for _, engine := range []string{EngineWAL, EngineLSM} {
-		t.Run(engine, func(t *testing.T) {
+	for name, engine := range map[string]string{"default": "", "lsm": EngineLSM} {
+		t.Run(name, func(t *testing.T) {
 			s, err := OpenService(ServiceConfig{Dir: t.TempDir(), Engine: engine})
 			if err != nil {
 				t.Fatal(err)
@@ -80,33 +84,26 @@ func TestServiceCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestOpenServiceEngineMismatch: booting one engine over the other
-// engine's store must fail loudly instead of coming up empty.
+// TestOpenServiceEngineMismatch: booting over a legacy WAL-engine
+// store, or over the leftovers of an interrupted migration, must fail
+// loudly instead of coming up empty.
 func TestOpenServiceEngineMismatch(t *testing.T) {
-	walDir := t.TempDir()
-	s, err := OpenService(ServiceConfig{Dir: walDir, Engine: EngineWAL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(testJob("a")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if _, err := OpenService(ServiceConfig{Dir: walDir, Engine: EngineLSM}); err == nil || !strings.Contains(err.Error(), "cdas-storectl migrate") {
+	walDir := copyFixture(t, "wal-store")
+	if _, err := OpenService(ServiceConfig{Dir: walDir, Engine: EngineLSM}); err == nil || !strings.Contains(err.Error(), "cdas-storectl migrate -dir "+walDir) {
 		t.Fatalf("lsm over wal store: err = %v, want migration hint", err)
 	}
 
-	lsmDir := t.TempDir()
-	s, err = OpenService(ServiceConfig{Dir: lsmDir, Engine: EngineLSM})
+	bothDir := copyFixture(t, "wal-store")
+	l, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: bothDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(testJob("a")); err != nil {
+	if err := l.Put(lsmPrimaryKey("partial"), []byte("{}")); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	if _, err := OpenService(ServiceConfig{Dir: lsmDir, Engine: EngineWAL}); err == nil || !strings.Contains(err.Error(), "store-engine=lsm") {
-		t.Fatalf("wal over lsm store: err = %v, want engine hint", err)
+	l.Close()
+	if _, err := OpenService(ServiceConfig{Dir: bothDir}); err == nil || !strings.Contains(err.Error(), "interrupted migration") {
+		t.Fatalf("boot over both engines' files: err = %v, want interrupted-migration refusal", err)
 	}
 }
 
@@ -463,101 +460,65 @@ func TestStatusesPageProperty(t *testing.T) {
 	}
 }
 
-// TestLSMSecondaryIndexConsistency drives random lifecycle traffic
-// through the LSM engine with aggressive checkpointing (so records
-// cross memtable flushes and compactions), then inspects the raw store:
-// the (state, priority, tenant) index keyspaces must correspond 1:1
-// with the primary records — no dangling entries, no missing ones.
-func TestLSMSecondaryIndexConsistency(t *testing.T) {
+// TestLSMKeyspace drives random lifecycle traffic through the store
+// with aggressive checkpointing (so records cross memtable flushes and
+// compactions), then inspects the raw store: it holds one j/ record per
+// job, equal to what the service served, plus the ledger and marks —
+// and no key outside the j/, b and sm/ keyspace.
+func TestLSMKeyspace(t *testing.T) {
 	for _, seed := range []int64{21, 22} {
 		dir := t.TempDir()
-		s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM, SnapshotEvery: 2})
+		s, err := OpenService(ServiceConfig{Dir: dir, SnapshotEvery: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, op := range genSvcOps(seed, 150) {
 			applySvcOp(s, op)
 		}
+		if err := s.CommitStreamMark("j0", StreamMark{Window: 0, Seen: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var want []walStatus
+		for _, st := range s.Statuses() {
+			want = append(want, toWal(st))
+		}
 		s.Close()
+		if len(want) == 0 {
+			t.Fatalf("seed %d: no jobs made it to the store", seed)
+		}
 
 		l, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer l.Close()
-		primary := map[string]walStatus{}
-		err = l.Scan(lsmPrimaryPrefix, prefixEnd(lsmPrimaryPrefix), func(k string, v []byte) bool {
-			var ws walStatus
-			if err := json.Unmarshal(v, &ws); err != nil {
-				t.Fatalf("primary record %q: %v", k, err)
+		var got []walStatus
+		var other []string
+		err = l.Scan("", "", func(k string, v []byte) bool {
+			switch {
+			case strings.HasPrefix(k, lsmPrimaryPrefix):
+				var ws walStatus
+				if err := json.Unmarshal(v, &ws); err != nil {
+					t.Fatalf("primary record %q: %v", k, err)
+				}
+				if k != lsmPrimaryKey(ws.Job.Name) {
+					t.Fatalf("record for %q filed under %q", ws.Job.Name, k)
+				}
+				got = append(got, ws)
+			case k == lsmBudgetKey, strings.HasPrefix(k, lsmStreamPrefix):
+			default:
+				other = append(other, k)
 			}
-			primary[ws.Job.Name] = ws
 			return true
 		})
+		l.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(primary) == 0 {
-			t.Fatalf("seed %d: no jobs made it to the store", seed)
+		if len(other) > 0 {
+			t.Fatalf("seed %d: keys outside the keyspace: %q", seed, other)
 		}
-
-		stateEntries := map[string]string{} // name → indexed state/seq
-		err = l.Scan(lsmStatePrefix, prefixEnd(lsmStatePrefix), func(k string, _ []byte) bool {
-			parts := strings.Split(strings.TrimPrefix(k, lsmStatePrefix), "/")
-			if len(parts) != 3 {
-				t.Fatalf("malformed state index key %q", k)
-			}
-			if prev, dup := stateEntries[parts[2]]; dup {
-				t.Fatalf("job %q has two state index entries: %q and %q", parts[2], prev, parts[0])
-			}
-			stateEntries[parts[2]] = parts[0] + "/" + parts[1]
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: stored records differ from the served ones:\ngot  %+v\nwant %+v", seed, got, want)
 		}
-		for name, ws := range primary {
-			want := fmt.Sprintf("%s/%016x", ws.State, ws.Seq)
-			if stateEntries[name] != want {
-				t.Fatalf("seed %d: job %q state index = %q, want %q", seed, name, stateEntries[name], want)
-			}
-			delete(stateEntries, name)
-		}
-		if len(stateEntries) != 0 {
-			t.Fatalf("seed %d: dangling state index entries: %v", seed, stateEntries)
-		}
-
-		checkOnePerJob := func(prefix string, keyFor func(ws walStatus) string) {
-			entries := map[string]bool{}
-			err := l.Scan(prefix, prefixEnd(prefix), func(k string, _ []byte) bool {
-				entries[k] = true
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, ws := range primary {
-				want := keyFor(ws)
-				if want == "" {
-					continue
-				}
-				if !entries[want] {
-					t.Fatalf("seed %d: job %q missing index key %q", seed, name, want)
-				}
-				delete(entries, want)
-			}
-			if len(entries) != 0 {
-				t.Fatalf("seed %d: dangling %s entries: %v", seed, prefix, entries)
-			}
-		}
-		checkOnePerJob(lsmPrioPrefix, func(ws walStatus) string {
-			return lsmPrioKey(ws.Job.Priority, ws.Job.Name)
-		})
-		checkOnePerJob(lsmTenantPrefix, func(ws walStatus) string {
-			if ws.Job.Tenant == "" {
-				return ""
-			}
-			return lsmTenantKey(ws.Job.Tenant, ws.Job.Name)
-		})
 	}
 }

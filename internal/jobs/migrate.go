@@ -1,8 +1,8 @@
-// One-shot WAL→LSM store migration: read a WAL-engine directory
-// through the existing replay path, write an equivalent LSM store —
-// primary records plus all three secondary indexes, committed in
-// atomic batches — verify the two stores agree, then retire the WAL
-// files. cdas-storectl is the CLI front end.
+// One-shot WAL→LSM store migration: read a legacy WAL-engine
+// directory through the read-only legacy reader, write an equivalent
+// LSM store — job records, the budget ledger and the stream marks,
+// committed in atomic batches — verify the new store loads to the same
+// state, then retire the WAL files. cdas-storectl is the CLI front end.
 package jobs
 
 import (
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
 
 	"cdas/internal/jobstore"
 )
@@ -20,11 +19,29 @@ import (
 // there is nothing to convert.
 var ErrAlreadyMigrated = errors.New("jobs: store is already on the lsm engine")
 
-// migrateBatchJobs bounds how many jobs share one atomic LSM batch.
-// Each job contributes at most four records (primary + three index
-// entries), so a batch stays far under the store's frame cap while
-// amortizing one fsync across many jobs.
+// migrateBatchJobs bounds how many job records share one atomic LSM
+// batch: far under the store's frame cap while amortizing one fsync
+// across many jobs.
 const migrateBatchJobs = 192
+
+// walEvent is one legacy WAL-engine record. Lifecycle events ("submit",
+// "update") carry the full post-transition record of the job they
+// concern; budget and stream events carry the full ledger or mark, so
+// replay keeps the last one of each.
+type walEvent struct {
+	Op     string        `json:"op"` // "submit", "update", "budget" or "stream"
+	Status walStatus     `json:"status,omitempty"`
+	Budget *BudgetState  `json:"budget,omitempty"`
+	Stream *streamRecord `json:"stream,omitempty"`
+}
+
+// walSnapshot is a legacy snapshot payload: every job's record plus the
+// budget ledger and the stream marks.
+type walSnapshot struct {
+	Jobs    []walStatus    `json:"jobs"`
+	Budget  *BudgetState   `json:"budget,omitempty"`
+	Streams []streamRecord `json:"streams,omitempty"`
+}
 
 // MigrateResult summarizes a completed conversion.
 type MigrateResult struct {
@@ -46,8 +63,8 @@ type MigrateResult struct {
 // from an interrupted run is discarded and rebuilt. Before retiring
 // anything the new store is reopened cold and verified record-for-
 // record against the WAL replay — the same Statuses() view a booted
-// service would serve — plus the budget ledger. logf (optional)
-// receives progress lines.
+// service would serve — plus the budget ledger and the stream marks.
+// logf (optional) receives progress lines.
 func MigrateStore(dir string, logf func(format string, args ...any)) (MigrateResult, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -69,27 +86,28 @@ func MigrateStore(dir string, logf func(format string, args ...any)) (MigrateRes
 		res.Resumed = true
 	}
 
-	// The Log's flock doubles as the migration lock: a live server (or
-	// a second migrate) holds it and fails this open with ErrLocked.
+	// The Log's flock doubles as the migration lock: an older release's
+	// server still running on the store (or a second migrate) holds it
+	// and fails this open with ErrLocked.
 	log, err := jobstore.Open(dir)
 	if err != nil {
 		return res, err
 	}
 	defer log.Close()
 
-	src, budget, streams, err := loadWALState(log)
-	if err != nil {
+	src := &Service{m: NewManager()}
+	if err := src.loadLegacy(log); err != nil {
 		return res, err
 	}
-	statuses := src.Statuses()
+	statuses := src.m.Statuses()
 	logf("replayed WAL store: %d jobs", len(statuses))
 
-	if err := writeLSMStore(dir, statuses, budget, streams); err != nil {
+	if err := writeLSMStore(dir, statuses, src.budget, src.streams); err != nil {
 		return res, err
 	}
 	logf("wrote LSM store: %d jobs in batches of %d", len(statuses), migrateBatchJobs)
 
-	if err := verifyLSMStore(dir, statuses, budget, streams); err != nil {
+	if err := verifyLSMStore(dir, src); err != nil {
 		return res, err
 	}
 	logf("verification passed: LSM view matches WAL replay")
@@ -99,60 +117,55 @@ func MigrateStore(dir string, logf func(format string, args ...any)) (MigrateRes
 		return res, fmt.Errorf("jobs: retiring WAL files: %w", err)
 	}
 	res.Jobs = len(statuses)
-	res.BudgetMoved = budget.GlobalSpent > 0 || len(budget.Jobs) > 0
+	res.BudgetMoved = src.budget.GlobalSpent > 0 || len(src.budget.Jobs) > 0
 	res.Retired = retired
 	return res, nil
 }
 
-// loadWALState replays the WAL store into a Manager — the exact load
-// OpenService performs, minus the requeue-on-boot step: migration must
-// copy records verbatim, not reinterpret them.
-func loadWALState(log *jobstore.Log) (*Manager, BudgetState, map[string]StreamMark, error) {
-	m := NewManager()
-	var budget BudgetState
-	streams := map[string]StreamMark{}
+// loadLegacy replays a legacy WAL-engine log into memory — the load
+// the WAL engine performed at boot, minus its requeue step: migration
+// must copy records verbatim, not reinterpret them.
+func (s *Service) loadLegacy(log *jobstore.Log) error {
 	if snap, _ := log.Snapshot(); snap != nil {
 		var ws walSnapshot
 		if err := json.Unmarshal(snap, &ws); err != nil {
-			return nil, budget, nil, fmt.Errorf("jobs: decoding snapshot: %w", err)
+			return fmt.Errorf("jobs: decoding snapshot: %w", err)
 		}
 		for _, st := range ws.Jobs {
-			m.restore(fromWal(st))
+			s.m.restore(fromWal(st))
 		}
 		if ws.Budget != nil {
-			budget = ws.Budget.clone()
+			s.budget = ws.Budget.clone()
 		}
 		for _, sr := range ws.Streams {
-			streams[sr.Job] = sr.Mark
+			s.setStreamMark(sr.Job, sr.Mark)
 		}
 	}
 	for i, rec := range log.Entries() {
 		var ev walEvent
 		if err := json.Unmarshal(rec, &ev); err != nil {
-			return nil, budget, nil, fmt.Errorf("jobs: decoding WAL record %d: %w", i, err)
+			return fmt.Errorf("jobs: decoding WAL record %d: %w", i, err)
 		}
 		switch ev.Op {
 		case "budget":
 			if ev.Budget != nil {
-				budget = ev.Budget.clone()
+				s.budget = ev.Budget.clone()
 			}
-			continue
 		case "stream":
 			if ev.Stream != nil {
-				streams[ev.Stream.Job] = ev.Stream.Mark
+				s.setStreamMark(ev.Stream.Job, ev.Stream.Mark)
 			}
-			continue
+		default:
+			s.m.restore(fromWal(ev.Status))
 		}
-		m.restore(fromWal(ev.Status))
 	}
-	return m, budget, streams, nil
+	return nil
 }
 
-// writeLSMStore creates the LSM store and commits every job's primary
-// record plus its state, priority and tenant index entries — each
-// job's records inside one atomic batch, many jobs per batch to bound
-// fsyncs — then checkpoints so the result boots from a sorted run
-// instead of a WAL tail.
+// writeLSMStore creates the LSM store and commits every job's record —
+// many jobs per atomic batch to bound fsyncs — plus the budget ledger
+// and the stream marks, then checkpoints so the result boots from a
+// sorted run instead of a WAL tail.
 func writeLSMStore(dir string, statuses []Status, budget BudgetState, streams map[string]StreamMark) error {
 	lsm, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir})
 	if err != nil {
@@ -160,7 +173,6 @@ func writeLSMStore(dir string, statuses []Status, budget BudgetState, streams ma
 	}
 	defer lsm.Close()
 	var batch []jobstore.Op
-	jobsInBatch := 0
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -169,7 +181,6 @@ func writeLSMStore(dir string, statuses []Status, budget BudgetState, streams ma
 			return err
 		}
 		batch = batch[:0]
-		jobsInBatch = 0
 		return nil
 	}
 	for _, st := range statuses {
@@ -178,15 +189,8 @@ func writeLSMStore(dir string, statuses []Status, budget BudgetState, streams ma
 		if err != nil {
 			return fmt.Errorf("jobs: encoding job record %q: %w", ws.Job.Name, err)
 		}
-		batch = append(batch,
-			jobstore.Op{Key: lsmPrimaryKey(ws.Job.Name), Value: payload},
-			jobstore.Op{Key: lsmStateKey(ws.State, ws.Seq, ws.Job.Name)},
-			jobstore.Op{Key: lsmPrioKey(ws.Job.Priority, ws.Job.Name)},
-		)
-		if ws.Job.Tenant != "" {
-			batch = append(batch, jobstore.Op{Key: lsmTenantKey(ws.Job.Tenant, ws.Job.Name)})
-		}
-		if jobsInBatch++; jobsInBatch >= migrateBatchJobs {
+		batch = append(batch, jobstore.Op{Key: lsmPrimaryKey(ws.Job.Name), Value: payload})
+		if len(batch) >= migrateBatchJobs {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -220,90 +224,28 @@ func writeLSMStore(dir string, statuses []Status, budget BudgetState, streams ma
 	return lsm.Close()
 }
 
-// verifyLSMStore reopens the converted store cold and asserts its
-// Statuses() view and budget ledger are deep-equal to the WAL replay's,
-// and that every record's index entries are present — the gate the old
-// store is retired behind.
-func verifyLSMStore(dir string, want []Status, wantBudget BudgetState, wantStreams map[string]StreamMark) error {
+// verifyLSMStore reopens the converted store cold, loads it exactly as
+// a booting service would, and asserts its Statuses() view, budget
+// ledger and stream marks are deep-equal to the WAL replay's — the gate
+// the old store is retired behind.
+func verifyLSMStore(dir string, want *Service) error {
 	lsm, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir})
 	if err != nil {
 		return fmt.Errorf("jobs: verification reopen: %w", err)
 	}
 	defer lsm.Close()
-	m := NewManager()
-	var decodeErr error
-	err = lsm.Scan(lsmPrimaryPrefix, prefixEnd(lsmPrimaryPrefix), func(key string, val []byte) bool {
-		var ws walStatus
-		if decodeErr = json.Unmarshal(val, &ws); decodeErr != nil {
-			decodeErr = fmt.Errorf("jobs: verification: decoding %q: %w", key, decodeErr)
-			return false
-		}
-		m.restore(fromWal(ws))
-		return true
-	})
-	if err == nil {
-		err = decodeErr
+	got := &Service{m: NewManager(), lsm: lsm}
+	if _, err := got.load(); err != nil {
+		return fmt.Errorf("jobs: verification: %w", err)
 	}
-	if err != nil {
-		return err
+	if g, w := got.m.Statuses(), want.m.Statuses(); !reflect.DeepEqual(g, w) {
+		return fmt.Errorf("jobs: verification failed: LSM view (%d jobs) differs from WAL replay (%d jobs)", len(g), len(w))
 	}
-	got := m.Statuses()
-	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("jobs: verification failed: LSM view (%d jobs) differs from WAL replay (%d jobs)", len(got), len(want))
+	if !reflect.DeepEqual(got.budget, want.budget) {
+		return fmt.Errorf("jobs: verification failed: budget %+v differs from WAL replay's %+v", got.budget, want.budget)
 	}
-	var gotBudget BudgetState
-	if raw, ok, err := lsm.Get(lsmBudgetKey); err != nil {
-		return err
-	} else if ok {
-		if err := json.Unmarshal(raw, &gotBudget); err != nil {
-			return fmt.Errorf("jobs: verification: decoding budget: %w", err)
-		}
-	}
-	if !reflect.DeepEqual(gotBudget, wantBudget) {
-		return fmt.Errorf("jobs: verification failed: budget %+v differs from WAL replay's %+v", gotBudget, wantBudget)
-	}
-	gotStreams := map[string]StreamMark{}
-	err = lsm.Scan(lsmStreamPrefix, prefixEnd(lsmStreamPrefix), func(key string, val []byte) bool {
-		var sr streamRecord
-		if decodeErr = json.Unmarshal(val, &sr); decodeErr != nil {
-			decodeErr = fmt.Errorf("jobs: verification: decoding stream mark %q: %w", key, decodeErr)
-			return false
-		}
-		gotStreams[sr.Job] = sr.Mark
-		return true
-	})
-	if err == nil {
-		err = decodeErr
-	}
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(gotStreams, wantStreams) {
-		return fmt.Errorf("jobs: verification failed: stream marks %+v differ from WAL replay's %+v", gotStreams, wantStreams)
-	}
-	// Spot-check the secondary indexes: exactly one state entry per
-	// job, pointing at the record's current state and seq.
-	stateKeys := map[string]bool{}
-	err = lsm.Scan(lsmStatePrefix, prefixEnd(lsmStatePrefix), func(key string, _ []byte) bool {
-		stateKeys[key] = true
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if len(stateKeys) != len(want) {
-		return fmt.Errorf("jobs: verification failed: %d state index entries for %d jobs", len(stateKeys), len(want))
-	}
-	var missing []string
-	for _, st := range want {
-		ws := toWal(st)
-		if !stateKeys[lsmStateKey(ws.State, ws.Seq, ws.Job.Name)] {
-			missing = append(missing, ws.Job.Name)
-		}
-	}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		return fmt.Errorf("jobs: verification failed: state index entries missing for %s", strings.Join(missing, ", "))
+	if !reflect.DeepEqual(got.streams, want.streams) {
+		return fmt.Errorf("jobs: verification failed: stream marks %+v differ from WAL replay's %+v", got.streams, want.streams)
 	}
 	return nil
 }

@@ -1,11 +1,12 @@
 package jobs
 
-// Migration tests: WAL→LSM conversion round-trips the full service
-// state (lifecycle records, budget ledger, secondary indexes), is
-// resumable after an interruption, refuses bad inputs, and leaves a
-// working rollback path.
+// Migration tests: WAL→LSM conversion of a store the WAL engine wrote
+// round-trips the full service state (job records, budget ledger,
+// stream marks), is resumable after an interruption, refuses bad
+// inputs, and leaves a working rollback path.
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -16,32 +17,27 @@ import (
 	"cdas/internal/jobstore"
 )
 
-// seedWALStore drives random lifecycle traffic into a WAL-engine store
-// and returns its normalized view and budget (the migration's ground
-// truth).
-func seedWALStore(t *testing.T, dir string, seed int64, n int) (map[string]normStatus, BudgetState) {
+// seedWALStore copies the legacy WAL-store fixture into a fresh
+// directory and returns it with its normalized view and budget as the
+// WAL engine replayed them (the migration's ground truth; see
+// compat_test.go).
+func seedWALStore(t *testing.T) (string, map[string]normStatus, BudgetState) {
 	t.Helper()
-	s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineWAL, SnapshotEvery: 16})
-	if err != nil {
-		t.Fatal(err)
+	want := map[string]normStatus{}
+	for _, n := range []normStatus{
+		{Job: fixtureAlpha, State: StateDone, Attempts: 1, Progress: 1, Cost: 2.5},
+		{Job: fixtureBravo, State: StateParked},
+		{Job: fixtureEcho, State: StatePending},
+		{Job: fixtureFeed, State: StatePending, Attempts: 1},
+		{Job: fixtureHunt, State: StatePending, Attempts: 1, Cost: 0.44},
+	} {
+		want[n.Job.Name] = n
 	}
-	for _, op := range genSvcOps(seed, n) {
-		applySvcOp(s, op)
-	}
-	want := normalize(s)
-	budget := s.Budget()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("seed produced no jobs")
-	}
-	return want, budget
+	return copyFixture(t, "wal-store"), want, fixtureBudget
 }
 
 func TestMigrateStoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	want, wantBudget := seedWALStore(t, dir, 77, 200)
+	dir, want, wantBudget := seedWALStore(t)
 
 	res, err := MigrateStore(dir, t.Logf)
 	if err != nil {
@@ -54,10 +50,9 @@ func TestMigrateStoreRoundTrip(t *testing.T) {
 		t.Fatal("no WAL files retired")
 	}
 
-	// The migrated store must boot as the LSM engine and serve the
-	// exact state the WAL engine held (normalize folds the shared
-	// requeue-Running-on-boot rule).
-	r, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+	// The migrated store must boot and serve the exact state the WAL
+	// engine held.
+	r, err := OpenService(ServiceConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("boot after migration: %v", err)
 	}
@@ -76,7 +71,7 @@ func TestMigrateStoreRoundTrip(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+	r2, err := OpenService(ServiceConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +82,7 @@ func TestMigrateStoreRoundTrip(t *testing.T) {
 }
 
 func TestMigrateStoreResumable(t *testing.T) {
-	dir := t.TempDir()
-	want, _ := seedWALStore(t, dir, 78, 120)
+	dir, want, _ := seedWALStore(t)
 
 	// Fake an interrupted migration: a partial LSM store holding a
 	// record the real conversion would never write.
@@ -102,7 +96,7 @@ func TestMigrateStoreResumable(t *testing.T) {
 	l.Close()
 
 	// The service must refuse to boot the ambiguous directory...
-	if _, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM}); err == nil || !strings.Contains(err.Error(), "interrupted migration") {
+	if _, err := OpenService(ServiceConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), "interrupted migration") {
 		t.Fatalf("boot over partial migration: err = %v, want interrupted-migration refusal", err)
 	}
 	// ...and a re-run must discard the partial store and finish.
@@ -113,7 +107,7 @@ func TestMigrateStoreResumable(t *testing.T) {
 	if !res.Resumed {
 		t.Fatal("Resumed = false, want true")
 	}
-	r, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+	r, err := OpenService(ServiceConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +128,7 @@ func TestMigrateStoreEdgeCases(t *testing.T) {
 
 	// Already migrated: distinct sentinel, so CLIs can treat a re-run
 	// as success.
-	dir := t.TempDir()
-	seedWALStore(t, dir, 79, 40)
+	dir, _, _ := seedWALStore(t)
 	if _, err := MigrateStore(dir, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -143,31 +136,29 @@ func TestMigrateStoreEdgeCases(t *testing.T) {
 		t.Fatalf("second migrate: %v, want ErrAlreadyMigrated", err)
 	}
 
-	// A live server holds the store lock: migration must refuse.
-	lockedDir := t.TempDir()
-	s, err := OpenService(ServiceConfig{Dir: lockedDir, Engine: EngineWAL})
+	// A live server of the old release holds the store lock: migration
+	// must refuse.
+	lockedDir, _, _ := seedWALStore(t)
+	held, err := jobstore.Open(lockedDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(testJob("held")); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	defer held.Close()
 	if _, err := MigrateStore(lockedDir, nil); !errors.Is(err, jobstore.ErrLocked) {
 		t.Fatalf("migrating a locked store: %v, want ErrLocked", err)
 	}
 }
 
 func TestMigrateStoreRollback(t *testing.T) {
-	dir := t.TempDir()
-	want, wantBudget := seedWALStore(t, dir, 80, 100)
+	dir, _, _ := seedWALStore(t)
 	res, err := MigrateStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Rollback: remove the LSM files, restore the retired WAL files,
-	// boot the WAL engine — the original store, untouched.
+	// Rollback: remove the LSM files and restore the retired WAL files —
+	// the original store, byte for byte, which the release that wrote it
+	// can boot again and this one migrates again.
 	if err := jobstore.RemoveLSMFiles(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -176,18 +167,26 @@ func TestMigrateStoreRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineWAL})
-	if err != nil {
-		t.Fatalf("rollback boot: %v", err)
-	}
-	defer s.Close()
-	if !reflect.DeepEqual(normalize(s), want) {
-		t.Fatal("rolled-back state differs from the original")
-	}
-	if !reflect.DeepEqual(s.Budget(), wantBudget) {
-		t.Fatal("rolled-back budget differs from the original")
+	for _, name := range []string{"wal.dat", "snapshot.dat"} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig, err := os.ReadFile(filepath.Join("testdata", "wal-store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, orig) {
+			t.Fatalf("rolled-back %s differs from the original", name)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("LSM MANIFEST still present after rollback cleanup (stat err %v)", err)
+	}
+	if _, err := OpenService(ServiceConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), "cdas-storectl migrate") {
+		t.Fatalf("boot over rolled-back store: err = %v, want migrate hint", err)
+	}
+	if _, err := MigrateStore(dir, nil); err != nil {
+		t.Fatalf("re-migrating the rolled-back store: %v", err)
 	}
 }

@@ -1,7 +1,7 @@
 // Durable job service: a Manager whose every lifecycle change is
-// committed to a jobstore WAL before it is acknowledged, so a killed
-// server replays the log on restart, requeues the jobs it was running
-// and never re-runs a finished one.
+// committed to the jobstore LSM before it is acknowledged, so a killed
+// server recovers its records on restart, requeues the jobs it was
+// running and never re-runs a finished one.
 package jobs
 
 import (
@@ -15,45 +15,34 @@ import (
 	"cdas/internal/metrics"
 )
 
-// Storage engine names for ServiceConfig.Engine.
-const (
-	// EngineWAL is the original append-only log: every event replayed
-	// from seq zero (or the latest snapshot) at boot. Still selectable;
-	// cdas-storectl migrate converts a WAL store to LSM in place.
-	EngineWAL = "wal"
-	// EngineLSM is the indexed store: an LSM tree holding each job's
-	// current record under a primary key plus (state, priority, tenant)
-	// secondary indexes, booted from the newest checkpoint + WAL tail.
-	// It is the production default (cdas-server's -store-engine flag
-	// defaults to it); checkpoints flush off the commit path.
-	EngineLSM = "lsm"
-)
+// EngineLSM names the only storage engine: an LSM tree holding each
+// job's current record, booted from the newest checkpoint plus its WAL
+// tail, with checkpoints flushed off the commit path. It is the one
+// value ServiceConfig.Engine accepts besides empty.
+const EngineLSM = "lsm"
 
 // ErrServiceClosed is returned by every mutation after Close.
 var ErrServiceClosed = errors.New("jobs: service is closed")
 
 // ServiceConfig tunes OpenService. The zero value is a volatile
-// (memory-only) service with default retry and compaction settings.
+// (memory-only) service with default retry and checkpoint settings.
 type ServiceConfig struct {
 	// Dir roots the store's files. Empty disables persistence: the
 	// service still runs the full lifecycle, in memory only.
 	Dir string
-	// Engine selects the storage engine: EngineWAL (the default when
-	// empty, for compatibility) or EngineLSM. The engines use disjoint
-	// file names and do not share state; OpenService refuses to boot an
-	// engine against a directory holding the other engine's store —
-	// migrate with cdas-storectl instead of switching in place.
+	// Engine names the storage engine: empty or EngineLSM, the only
+	// one. OpenService refuses a directory holding a legacy WAL-engine
+	// store — convert it with cdas-storectl migrate first.
 	Engine string
 	// MaxAttempts bounds the retry loop (default DefaultMaxAttempts).
 	MaxAttempts int
-	// SnapshotEvery compacts the store after this many committed events
-	// (default 256; negative disables compaction). Under EngineWAL this
-	// writes a snapshot; under EngineLSM it cuts a checkpoint.
+	// SnapshotEvery cuts a store checkpoint after this many committed
+	// events (default 256; negative disables checkpoints).
 	SnapshotEvery int
-	// Counters, when set, receives lifecycle and WAL counters.
+	// Counters, when set, receives lifecycle and store counters.
 	Counters *metrics.Registry
-	// StoreFail injects storage failpoints (EngineLSM only) — the
-	// crash-equivalence tests' hook. Leave nil in production.
+	// StoreFail injects storage failpoints — the crash-equivalence
+	// tests' hook. Leave nil in production.
 	StoreFail jobstore.FailFunc
 	// Logf, when set, receives operational log lines (checkpoint
 	// failures and the like). Nil discards them.
@@ -66,12 +55,12 @@ type Service struct {
 	cfg ServiceConfig
 	m   *Manager
 
-	// mu serialises state mutation with WAL appends so the log's event
-	// order always matches the order the state machine applied them in.
+	// mu serialises state mutation with store commits so the store's
+	// commit order always matches the order the state machine applied
+	// them in.
 	mu      sync.Mutex
-	log     *jobstore.Log // EngineWAL backend (nil otherwise)
-	lsm     *jobstore.LSM // EngineLSM backend (nil otherwise)
-	events  int           // committed events since the last LSM checkpoint
+	lsm     *jobstore.LSM // nil for a volatile service
+	events  int           // committed events since the last checkpoint
 	closed  bool
 	wake    chan struct{}
 	resumed []string
@@ -79,44 +68,24 @@ type Service struct {
 	streams map[string]StreamMark
 }
 
-// LSM keyspace. The primary record lives under "j/<name>"; secondary
-// index entries are empty values whose keys order the scan:
+// LSM keyspace. Every commit writes exactly one key:
 //
-//	j/<name>                      → walStatus JSON (current record)
-//	b                             → BudgetState JSON (ledger)
-//	xs/<state>/<seq>/<name>       state index, FIFO order within a state
-//	xp/<priority>/<name>          priority index (admission order)
-//	xt/<tenant>/<name>            tenant index
+//	j/<name>   → walStatus JSON (the job's current record)
+//	b          → BudgetState JSON (the ledger)
+//	sm/<name>  → streamRecord JSON (a continuous or enumeration job's
+//	             mark, committed at each window or batch close)
 //
-// seq and priority are fixed-width big-endian hex so byte order equals
-// numeric order; priority is offset-encoded to order negatives first.
+// Stores written before this layout also hold xs/, xp/ and xt/ index
+// keys; nothing reads them, so they are left in place.
 const (
 	lsmPrimaryPrefix = "j/"
 	lsmBudgetKey     = "b"
-	lsmStatePrefix   = "xs/"
-	lsmPrioPrefix    = "xp/"
-	lsmTenantPrefix  = "xt/"
-	// lsmStreamPrefix holds continuous jobs' stream marks: sm/<name> →
-	// streamRecord JSON (the window high-water mark plus cumulative
-	// stream accounting, committed at each window close).
-	lsmStreamPrefix = "sm/"
+	lsmStreamPrefix  = "sm/"
 )
 
 func lsmPrimaryKey(name string) string { return lsmPrimaryPrefix + name }
 
 func lsmStreamKey(name string) string { return lsmStreamPrefix + name }
-
-func lsmStateKey(state State, seq uint64, name string) string {
-	return fmt.Sprintf("%s%s/%016x/%s", lsmStatePrefix, state, seq, name)
-}
-
-func lsmPrioKey(priority int, name string) string {
-	return fmt.Sprintf("%s%016x/%s", lsmPrioPrefix, uint64(int64(priority))+(1<<63), name)
-}
-
-func lsmTenantKey(tenant, name string) string {
-	return lsmTenantPrefix + tenant + "/" + name
-}
 
 // prefixEnd is the smallest key greater than every key with the given
 // prefix — the exclusive upper bound for a prefix range-read.
@@ -126,8 +95,8 @@ func prefixEnd(prefix string) string {
 
 // BudgetState is the durable crowd-budget ledger the scheduler's
 // accounting is persisted through: global spend plus per-job spend,
-// WAL-committed so a restarted server keeps charging from where the
-// dead one stopped rather than re-granting spent money.
+// committed to the store so a restarted server keeps charging from
+// where the dead one stopped rather than re-granting spent money.
 type BudgetState struct {
 	// GlobalSpent is the total crowd spend across every job.
 	GlobalSpent float64 `json:"global_spent"`
@@ -150,7 +119,7 @@ func (b BudgetState) clone() BudgetState {
 // StreamMark is a continuous job's durable stream position: the highest
 // event-time window already closed plus the cumulative accounting up to
 // and including it. It is committed like any other transition (same
-// WAL/LSM path, fsync on commit), so a kill -9 resumes the stream at
+// store path, fsync on commit), so a kill -9 resumes the stream at
 // the next window without re-charging the closed ones.
 type StreamMark struct {
 	// Window is the highest closed window index; -1 before any close.
@@ -218,14 +187,15 @@ func (m StreamMark) clone() StreamMark {
 	return m
 }
 
-// streamRecord pairs a job name with its mark for WAL/snapshot framing.
+// streamRecord pairs a job name with its mark: the sm/<name> value.
 type streamRecord struct {
 	Job  string     `json:"job"`
 	Mark StreamMark `json:"mark"`
 }
 
-// walStatus is a job lifecycle record as written to the WAL and
-// snapshot. It mirrors Status plus the FIFO sequence.
+// walStatus is a job lifecycle record as stored under j/<name> (and,
+// inside events, in legacy WAL-engine files). It mirrors Status plus
+// the FIFO sequence.
 type walStatus struct {
 	Job      Job     `json:"job"`
 	State    State   `json:"state"`
@@ -234,26 +204,6 @@ type walStatus struct {
 	Cost     float64 `json:"cost"`
 	Error    string  `json:"error,omitempty"`
 	Seq      uint64  `json:"seq"`
-}
-
-// walEvent is one WAL record. Lifecycle events ("submit", "update")
-// carry the full post-transition record of the job they concern, which
-// makes replay a plain overwrite — trivially idempotent under the
-// storage layer's at-least-once crash windows. Budget events ("budget")
-// carry the full ledger for the same reason: replay keeps the last one.
-type walEvent struct {
-	Op     string        `json:"op"` // "submit", "update", "budget" or "stream"
-	Status walStatus     `json:"status,omitempty"`
-	Budget *BudgetState  `json:"budget,omitempty"`
-	Stream *streamRecord `json:"stream,omitempty"`
-}
-
-// walSnapshot is the snapshot payload: every job's current record plus
-// the budget ledger and the continuous jobs' stream marks.
-type walSnapshot struct {
-	Jobs    []walStatus    `json:"jobs"`
-	Budget  *BudgetState   `json:"budget,omitempty"`
-	Streams []streamRecord `json:"streams,omitempty"`
 }
 
 func toWal(st Status) walStatus {
@@ -280,11 +230,15 @@ func fromWal(ws walStatus) Status {
 	}
 }
 
-// OpenService opens (or creates) the durable service: it replays the
-// snapshot and WAL under cfg.Dir, then requeues every job the previous
-// process left Running — those are exactly the jobs a crash or
-// shutdown interrupted mid-flight.
+// OpenService opens (or creates) the durable service: it boots the
+// store under cfg.Dir from its newest checkpoint plus WAL tail,
+// restores every record, then requeues every job the previous process
+// left Running — those are exactly the jobs a crash or shutdown
+// interrupted mid-flight.
 func OpenService(cfg ServiceConfig) (*Service, error) {
+	if cfg.Engine != "" && cfg.Engine != EngineLSM {
+		return nil, fmt.Errorf("jobs: unknown storage engine %q", cfg.Engine)
+	}
 	if cfg.MaxAttempts == 0 {
 		cfg.MaxAttempts = DefaultMaxAttempts
 	}
@@ -300,103 +254,21 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Dir == "" {
 		return s, nil
 	}
-	// Refuse to boot an engine over the other engine's store: the file
-	// sets are disjoint, so the wrong engine would come up empty and
-	// look exactly like data loss.
-	hasWAL, hasLSM := jobstore.DetectEngines(cfg.Dir)
-	switch cfg.Engine {
-	case "", EngineWAL:
-		if hasLSM {
-			return nil, fmt.Errorf("jobs: %s holds an LSM-engine store but engine %q was selected; pass -store-engine=lsm (if both engines' files are present, an interrupted migration left them — re-run cdas-storectl migrate)", cfg.Dir, EngineWAL)
-		}
-	case EngineLSM:
-		if hasWAL && hasLSM {
-			return nil, fmt.Errorf("jobs: %s holds both WAL- and LSM-engine files — an interrupted migration; re-run cdas-storectl migrate -dir %s", cfg.Dir, cfg.Dir)
-		}
-		if hasWAL {
-			return nil, fmt.Errorf("jobs: %s holds a WAL-engine store but engine %q was selected; run cdas-storectl migrate -dir %s first, or pass -store-engine=wal", cfg.Dir, EngineLSM, cfg.Dir)
-		}
-		return openLSMService(s)
-	default:
-		return nil, fmt.Errorf("jobs: unknown storage engine %q", cfg.Engine)
+	// Refuse to boot over a legacy WAL-engine store: the file sets are
+	// disjoint, so the LSM would come up empty and look exactly like
+	// data loss.
+	switch hasWAL, hasLSM := jobstore.DetectEngines(cfg.Dir); {
+	case hasWAL && hasLSM:
+		return nil, fmt.Errorf("jobs: %s holds both WAL- and LSM-engine files — an interrupted migration; re-run cdas-storectl migrate -dir %s", cfg.Dir, cfg.Dir)
+	case hasWAL:
+		return nil, fmt.Errorf("jobs: %s holds a legacy WAL-engine store; run cdas-storectl migrate -dir %s first", cfg.Dir, cfg.Dir)
 	}
-	log, err := jobstore.Open(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	s.log = log
-	if snap, _ := log.Snapshot(); snap != nil {
-		var ws walSnapshot
-		if err := json.Unmarshal(snap, &ws); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("jobs: decoding snapshot: %w", err)
-		}
-		for _, st := range ws.Jobs {
-			s.m.restore(fromWal(st))
-		}
-		if ws.Budget != nil {
-			s.budget = ws.Budget.clone()
-		}
-		for _, sr := range ws.Streams {
-			s.setStreamMark(sr.Job, sr.Mark)
-		}
-	}
-	for i, rec := range log.Entries() {
-		var ev walEvent
-		if err := json.Unmarshal(rec, &ev); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("jobs: decoding WAL record %d: %w", i, err)
-		}
-		switch ev.Op {
-		case "budget":
-			if ev.Budget != nil {
-				s.budget = ev.Budget.clone()
-			}
-			continue
-		case "stream":
-			// Marks replay last-one-wins, exactly like the ledger.
-			if ev.Stream != nil {
-				s.setStreamMark(ev.Stream.Job, ev.Stream.Mark)
-			}
-			continue
-		}
-		s.m.restore(fromWal(ev.Status))
-	}
-	// Resume: jobs the dead process had claimed go back to Pending so a
-	// dispatcher can pick them up again.
-	for _, st := range s.m.Statuses() {
-		if st.State != StateRunning {
-			continue
-		}
-		re, err := s.m.Requeue(st.Job.Name)
-		if err != nil {
-			log.Close()
-			return nil, err
-		}
-		if err := s.append("update", StateRunning, re, true); err != nil {
-			log.Close()
-			return nil, err
-		}
-		s.resumed = append(s.resumed, st.Job.Name)
-		cfg.Counters.Inc(metrics.CounterJobsResumed)
-	}
-	return s, nil
-}
-
-// openLSMService finishes OpenService for EngineLSM: boot from the
-// newest checkpoint plus the WAL tail, restore every job's current
-// record from the primary keyspace, then requeue the jobs the dead
-// process was running — found by a range-read of the state index, and
-// cross-checked against the primary records (the two are committed in
-// one atomic batch, so any disagreement is an engine bug worth failing
-// the boot over).
-func openLSMService(s *Service) (*Service, error) {
 	lsm, err := jobstore.OpenLSM(jobstore.LSMConfig{
-		Dir:  s.cfg.Dir,
-		Fail: s.cfg.StoreFail,
-		// Checkpoints cut off the commit path: lsmCommit only freezes
-		// the memtable and rotates the WAL segment; the flush runs in
-		// the background and reports through onCheckpoint.
+		Dir:  cfg.Dir,
+		Fail: cfg.StoreFail,
+		// Checkpoints cut off the commit path: commit only freezes the
+		// memtable and rotates the WAL segment; the flush runs in the
+		// background and reports through onCheckpoint.
 		OnlineCheckpoint: true,
 		OnCheckpoint:     s.onCheckpoint,
 	})
@@ -404,84 +276,96 @@ func openLSMService(s *Service) (*Service, error) {
 		return nil, err
 	}
 	s.lsm = lsm
-	fail := func(err error) (*Service, error) {
+	running, err := s.load()
+	if err == nil {
+		err = s.requeueAll(running)
+	}
+	if err != nil {
 		lsm.Close()
 		return nil, err
-	}
-	if raw, ok, err := lsm.Get(lsmBudgetKey); err != nil {
-		return fail(err)
-	} else if ok {
-		if err := json.Unmarshal(raw, &s.budget); err != nil {
-			return fail(fmt.Errorf("jobs: decoding budget record: %w", err))
-		}
-	}
-	var decodeErr error
-	err = lsm.Scan(lsmStreamPrefix, prefixEnd(lsmStreamPrefix), func(key string, val []byte) bool {
-		var sr streamRecord
-		if decodeErr = json.Unmarshal(val, &sr); decodeErr != nil {
-			decodeErr = fmt.Errorf("jobs: decoding stream mark %q: %w", key, decodeErr)
-			return false
-		}
-		s.setStreamMark(sr.Job, sr.Mark)
-		return true
-	})
-	if err == nil {
-		err = decodeErr
-	}
-	if err != nil {
-		return fail(err)
-	}
-	err = lsm.Scan(lsmPrimaryPrefix, prefixEnd(lsmPrimaryPrefix), func(key string, val []byte) bool {
-		var ws walStatus
-		if decodeErr = json.Unmarshal(val, &ws); decodeErr != nil {
-			decodeErr = fmt.Errorf("jobs: decoding job record %q: %w", key, decodeErr)
-			return false
-		}
-		s.m.restore(fromWal(ws))
-		return true
-	})
-	if err == nil {
-		err = decodeErr
-	}
-	if err != nil {
-		return fail(err)
-	}
-	// Resume via the state index: every xs/running entry names a job a
-	// crash or shutdown interrupted mid-flight.
-	runningPrefix := lsmStatePrefix + string(StateRunning) + "/"
-	var running []string
-	// The name starts after the fixed-width 16-hex seq and its slash;
-	// splitting on the last '/' instead would truncate names that
-	// themselves contain one.
-	nameAt := len(runningPrefix) + 17
-	err = lsm.Scan(runningPrefix, prefixEnd(runningPrefix), func(key string, _ []byte) bool {
-		if len(key) > nameAt {
-			running = append(running, key[nameAt:])
-		}
-		return true
-	})
-	if err != nil {
-		return fail(err)
-	}
-	for _, name := range running {
-		if st, ok := s.m.Status(name); !ok || st.State != StateRunning {
-			return fail(fmt.Errorf("jobs: state index lists %q as running but the primary record disagrees", name))
-		}
-		re, err := s.m.Requeue(name)
-		if err != nil {
-			return fail(err)
-		}
-		if err := s.append("update", StateRunning, re, true); err != nil {
-			return fail(err)
-		}
-		s.resumed = append(s.resumed, name)
-		s.cfg.Counters.Inc(metrics.CounterJobsResumed)
 	}
 	return s, nil
 }
 
+// load restores the budget ledger, the stream marks and every job
+// record from the store into memory, and returns the records left
+// Running, oldest (lowest seq) first. Migration verifies a converted
+// store through it, so the check sees exactly what a boot would.
+func (s *Service) load() ([]walStatus, error) {
+	if raw, ok, err := s.lsm.Get(lsmBudgetKey); err != nil {
+		return nil, err
+	} else if ok {
+		if err := json.Unmarshal(raw, &s.budget); err != nil {
+			return nil, fmt.Errorf("jobs: decoding budget record: %w", err)
+		}
+	}
+	err := scanRecords(s.lsm, lsmStreamPrefix, func(val []byte) error {
+		var sr streamRecord
+		if err := json.Unmarshal(val, &sr); err != nil {
+			return err
+		}
+		s.setStreamMark(sr.Job, sr.Mark)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var running []walStatus
+	err = scanRecords(s.lsm, lsmPrimaryPrefix, func(val []byte) error {
+		var ws walStatus
+		if err := json.Unmarshal(val, &ws); err != nil {
+			return err
+		}
+		s.m.restore(fromWal(ws))
+		if ws.State == StateRunning {
+			running = append(running, ws)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(running, func(i, j int) bool { return running[i].Seq < running[j].Seq })
+	return running, nil
+}
+
+// requeueAll commits the return of jobs a dead process left Running to
+// Pending, in the given order, so a dispatcher can pick them up again.
+func (s *Service) requeueAll(running []walStatus) error {
+	for _, ws := range running {
+		re, err := s.m.Requeue(ws.Job.Name)
+		if err != nil {
+			return err
+		}
+		if err := s.append(re); err != nil {
+			return err
+		}
+		s.resumed = append(s.resumed, ws.Job.Name)
+		s.cfg.Counters.Inc(metrics.CounterJobsResumed)
+	}
+	return nil
+}
+
+// scanRecords calls fn with the value of every key under prefix and
+// stops at the first error fn returns, reported with its key.
+func scanRecords(lsm *jobstore.LSM, prefix string, fn func(val []byte) error) error {
+	var fnErr error
+	err := lsm.Scan(prefix, prefixEnd(prefix), func(key string, val []byte) bool {
+		if err := fn(val); err != nil {
+			fnErr = fmt.Errorf("jobs: decoding record %q: %w", key, err)
+			return false
+		}
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	return fnErr
+}
+
 // Resumed lists the jobs OpenService moved from Running back to
-// Pending — the unfinished work recovered from the log.
+// Pending — the unfinished work recovered from the store, in FIFO
+// (seq) order.
 func (s *Service) Resumed() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -500,105 +384,39 @@ func (s *Service) notify() {
 	}
 }
 
-// append commits one lifecycle event. prevState is the job's state
-// before the transition ("" for a brand-new submission) — the LSM
-// engine uses it to re-file the state index entry in the same atomic
-// batch. Callers hold s.mu. sync selects fsync-on-commit; progress
-// events pass false — they are advisory (reset on requeue), and a
-// later synced transition flushes them anyway.
-func (s *Service) append(op string, prevState State, st Status, sync bool) error {
-	return s.appendEvent(walEvent{Op: op, Status: toWal(st)}, prevState, sync)
+// append commits a job's post-transition record. Callers hold s.mu.
+func (s *Service) append(st Status) error {
+	return s.commit(lsmPrimaryKey(st.Job.Name), toWal(st))
 }
 
-// appendEvent commits any event (no-op when the service is volatile)
-// and compacts when the policy says so — the single choke point for
-// lifecycle and budget records alike, so every event kind counts
-// toward and triggers compaction. Callers hold s.mu.
-func (s *Service) appendEvent(ev walEvent, prevState State, sync bool) error {
+// commit writes one record under key (a no-op when the service is
+// volatile) and cuts a checkpoint when the policy says so — the single
+// choke point for job records, the ledger and stream marks alike, so
+// every kind counts toward and triggers checkpoints. Callers hold s.mu.
+func (s *Service) commit(key string, record any) error {
 	if s.closed {
 		return ErrServiceClosed
 	}
-	if s.lsm != nil {
-		return s.lsmCommit(ev, prevState)
-	}
-	if s.log == nil {
+	if s.lsm == nil {
 		return nil
 	}
-	rec, err := json.Marshal(ev)
+	payload, err := json.Marshal(record)
 	if err != nil {
-		return fmt.Errorf("jobs: encoding event: %w", err)
+		return fmt.Errorf("jobs: encoding %q: %w", key, err)
 	}
-	if sync {
-		_, err = s.log.Append(rec)
-	} else {
-		_, err = s.log.AppendNoSync(rec)
-	}
-	if err != nil {
-		return err
-	}
-	s.cfg.Counters.Inc(metrics.CounterWALAppends)
-	if s.cfg.SnapshotEvery > 0 && s.log.AppendsSinceSnapshot() >= s.cfg.SnapshotEvery {
-		// The event above is already durably committed; compaction is
-		// best-effort housekeeping and must not fail the transition (a
-		// failed compaction simply retries on a later append).
-		_ = s.compact()
-	}
-	return nil
-}
-
-// lsmCommit turns one event into an atomic LSM batch: the primary
-// record plus every secondary index entry the event adds, moves or
-// removes — all under one WAL frame, so a crash can never persist the
-// record without its index entries or vice versa. Callers hold s.mu.
-func (s *Service) lsmCommit(ev walEvent, prevState State) error {
-	var batch []jobstore.Op
-	if ev.Op == "budget" {
-		payload, err := json.Marshal(ev.Budget)
-		if err != nil {
-			return fmt.Errorf("jobs: encoding budget: %w", err)
-		}
-		batch = append(batch, jobstore.Op{Key: lsmBudgetKey, Value: payload})
-	} else if ev.Op == "stream" {
-		payload, err := json.Marshal(ev.Stream)
-		if err != nil {
-			return fmt.Errorf("jobs: encoding stream mark: %w", err)
-		}
-		batch = append(batch, jobstore.Op{Key: lsmStreamKey(ev.Stream.Job), Value: payload})
-	} else {
-		ws := ev.Status
-		payload, err := json.Marshal(ws)
-		if err != nil {
-			return fmt.Errorf("jobs: encoding job record: %w", err)
-		}
-		batch = append(batch, jobstore.Op{Key: lsmPrimaryKey(ws.Job.Name), Value: payload})
-		if prevState != "" && prevState != ws.State {
-			batch = append(batch, jobstore.Op{Key: lsmStateKey(prevState, ws.Seq, ws.Job.Name), Delete: true})
-		}
-		if prevState != ws.State {
-			batch = append(batch, jobstore.Op{Key: lsmStateKey(ws.State, ws.Seq, ws.Job.Name)})
-		}
-		if ev.Op == "submit" {
-			// Priority and tenant are immutable, so their index entries
-			// are written once, at submission.
-			batch = append(batch, jobstore.Op{Key: lsmPrioKey(ws.Job.Priority, ws.Job.Name)})
-			if ws.Job.Tenant != "" {
-				batch = append(batch, jobstore.Op{Key: lsmTenantKey(ws.Job.Tenant, ws.Job.Name)})
-			}
-		}
-	}
-	if err := s.lsm.Apply(batch); err != nil {
+	if err := s.lsm.Put(key, payload); err != nil {
 		return err
 	}
 	s.cfg.Counters.Inc(metrics.CounterWALAppends)
 	s.events++
 	if s.cfg.SnapshotEvery > 0 && s.events >= s.cfg.SnapshotEvery {
-		// Best-effort housekeeping, same contract as the WAL engine's
-		// compaction: the batch above is already durable. The cut is
-		// asynchronous — only the freeze and WAL-segment rotation happen
-		// here; the flush's outcome arrives through onCheckpoint. The
-		// event counter resets only when a checkpoint actually covers
-		// the events, so a failure here retries on the very next commit
-		// instead of waiting out another SnapshotEvery window.
+		// Best-effort housekeeping: the record above is already durable.
+		// The cut is asynchronous — only the freeze and WAL-segment
+		// rotation happen here; the flush's outcome arrives through
+		// onCheckpoint. The event counter resets only when a checkpoint
+		// actually covers the events, so a failure here retries on the
+		// very next commit instead of waiting out another SnapshotEvery
+		// window.
 		if _, err := s.lsm.CheckpointAsync(); err != nil {
 			s.noteCheckpointFailureLocked(err)
 		} else {
@@ -635,40 +453,8 @@ func (s *Service) logf(format string, args ...any) {
 	}
 }
 
-// compact writes a full-state snapshot, truncating the WAL. Callers
-// hold s.mu.
-func (s *Service) compact() error {
-	var snap walSnapshot
-	for _, st := range s.m.Statuses() {
-		snap.Jobs = append(snap.Jobs, toWal(st))
-	}
-	if s.budget.GlobalSpent > 0 || len(s.budget.Jobs) > 0 {
-		b := s.budget.clone()
-		snap.Budget = &b
-	}
-	if len(s.streams) > 0 {
-		names := make([]string, 0, len(s.streams))
-		for name := range s.streams {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			snap.Streams = append(snap.Streams, streamRecord{Job: name, Mark: s.streams[name]})
-		}
-	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("jobs: encoding snapshot: %w", err)
-	}
-	if err := s.log.WriteSnapshot(payload); err != nil {
-		return err
-	}
-	s.cfg.Counters.Inc(metrics.CounterWALSnapshots)
-	return nil
-}
-
 // Submit registers the job (state Pending), commits it, and wakes the
-// dispatcher pool. On a WAL failure the registration is rolled back so
+// dispatcher pool. On a store failure the registration is rolled back so
 // memory never acknowledges more than disk.
 func (s *Service) Submit(job Job) (Plan, error) {
 	s.mu.Lock()
@@ -678,7 +464,7 @@ func (s *Service) Submit(job Job) (Plan, error) {
 		return Plan{}, err
 	}
 	st, _ := s.m.Status(job.Name)
-	if err := s.append("submit", "", st, true); err != nil {
+	if err := s.append(st); err != nil {
 		s.m.Unregister(job.Name)
 		return Plan{}, err
 	}
@@ -696,7 +482,7 @@ func (s *Service) Claim() (Status, bool) {
 	if !ok {
 		return Status{}, false
 	}
-	if err := s.append("update", StatePending, st, true); err != nil {
+	if err := s.append(st); err != nil {
 		// Disk refused the claim: revert it entirely (state and attempt
 		// count) so no work runs unlogged and transient storage errors
 		// don't eat the retry budget.
@@ -710,8 +496,8 @@ func (s *Service) Claim() (Status, bool) {
 // commitUpdate appends a post-transition record. If the log refuses
 // the commit, the in-memory record is reverted to prev, preserving the
 // invariant that memory never acknowledges more than disk.
-func (s *Service) commitUpdate(prev, st Status, sync bool) error {
-	if err := s.append("update", prev.State, st, sync); err != nil {
+func (s *Service) commitUpdate(prev, st Status) error {
+	if err := s.append(st); err != nil {
 		s.m.revert(prev)
 		return err
 	}
@@ -728,7 +514,7 @@ func (s *Service) Complete(name string, cost float64) error {
 	if err != nil {
 		return err
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
+	if err := s.commitUpdate(prev, st); err != nil {
 		return err
 	}
 	s.cfg.Counters.Inc(metrics.CounterJobsCompleted)
@@ -746,7 +532,7 @@ func (s *Service) Fail(name string, cause error, cost float64) (requeued bool, e
 	if err != nil {
 		return false, err
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
+	if err := s.commitUpdate(prev, st); err != nil {
 		return false, err
 	}
 	if requeued {
@@ -769,7 +555,7 @@ func (s *Service) Cancel(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
+	if err := s.commitUpdate(prev, st); err != nil {
 		return err
 	}
 	s.cfg.Counters.Inc(metrics.CounterJobsCancelled)
@@ -786,7 +572,7 @@ func (s *Service) Park(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
+	if err := s.commitUpdate(prev, st); err != nil {
 		return err
 	}
 	s.cfg.Counters.Inc(metrics.CounterJobsParked)
@@ -803,7 +589,7 @@ func (s *Service) Unpark(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
+	if err := s.commitUpdate(prev, st); err != nil {
 		return err
 	}
 	s.cfg.Counters.Inc(metrics.CounterJobsUnparked)
@@ -813,7 +599,7 @@ func (s *Service) Unpark(name string) error {
 
 // ChargeBudget commits a crowd-spend charge against the job and the
 // global ledger — the scheduler's persistence hook, so budget state
-// survives WAL replay. Charges are facts about money already spent;
+// survives a restart. Charges are facts about money already spent;
 // they are recorded even for jobs the service has never seen.
 func (s *Service) ChargeBudget(name string, amount float64) error {
 	if amount <= 0 {
@@ -828,7 +614,7 @@ func (s *Service) ChargeBudget(name string, amount float64) error {
 	}
 	s.budget.Jobs[name] += amount
 	b := s.budget.clone()
-	if err := s.appendEvent(walEvent{Op: "budget", Budget: &b}, "", true); err != nil {
+	if err := s.commit(lsmBudgetKey, b); err != nil {
 		s.budget = prev
 		return err
 	}
@@ -853,7 +639,7 @@ func (s *Service) setStreamMark(name string, mark StreamMark) {
 }
 
 // CommitStreamMark durably advances a continuous job's stream position:
-// the mark is fsynced through the same WAL/LSM path as lifecycle
+// the mark is fsynced through the same store path as lifecycle
 // transitions before it is acknowledged, so a crash after a window
 // close replays the close — the restarted runner skips every window at
 // or below mark.Window and never re-charges it. Marks must advance;
@@ -868,7 +654,7 @@ func (s *Service) CommitStreamMark(name string, mark StreamMark) error {
 	}
 	mark = mark.clone()
 	s.setStreamMark(name, mark)
-	if err := s.appendEvent(walEvent{Op: "stream", Stream: &streamRecord{Job: name, Mark: mark}}, "", true); err != nil {
+	if err := s.commit(lsmStreamKey(name), streamRecord{Job: name, Mark: mark}); err != nil {
 		if had {
 			s.streams[name] = prev
 		} else {
@@ -899,7 +685,7 @@ func (s *Service) VoidClaim(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
+	if err := s.commitUpdate(prev, st); err != nil {
 		return err
 	}
 	s.notify()
@@ -916,7 +702,7 @@ func (s *Service) Requeue(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
+	if err := s.commitUpdate(prev, st); err != nil {
 		return err
 	}
 	s.notify()
@@ -933,11 +719,11 @@ func (s *Service) Progress(name string, progress, cost float64) error {
 	if err != nil {
 		return err
 	}
-	return s.commitUpdate(prev, st, false)
+	return s.commitUpdate(prev, st)
 }
 
 // Status returns a job's lifecycle record. It takes the commit lock,
-// so a transition is never observable before its WAL commit succeeded
+// so a transition is never observable before its store commit succeeded
 // (or was rolled back) — reads see only acknowledged state.
 func (s *Service) Status(name string) (Status, bool) {
 	s.mu.Lock()
@@ -969,11 +755,8 @@ func (s *Service) MaxAttempts() int { return s.m.MaxAttempts() }
 // Quiesce blocks until no store checkpoint is in flight — a graceful
 // shutdown (and the crash harness) uses it to reach a settled store.
 func (s *Service) Quiesce() {
-	s.mu.Lock()
-	lsm := s.lsm
-	s.mu.Unlock()
-	if lsm != nil {
-		lsm.Quiesce()
+	if s.lsm != nil {
+		s.lsm.Quiesce()
 	}
 }
 
@@ -987,25 +770,18 @@ func (s *Service) Close() error {
 		return nil
 	}
 	s.closed = true
-	log, lsm := s.log, s.lsm
 	// Drop the lock before closing: the LSM drains in-flight checkpoint
 	// flushes, whose completion callback (onCheckpoint) takes s.mu.
 	s.mu.Unlock()
-	var first error
-	if lsm != nil {
-		first = lsm.Close()
+	if s.lsm == nil {
+		return nil
 	}
-	if log != nil {
-		if err := log.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return s.lsm.Close()
 }
 
 // Durable reports whether the service is backed by an open store.
 func (s *Service) Durable() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return !s.closed && (s.log != nil || s.lsm != nil)
+	return !s.closed && s.lsm != nil
 }

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -125,21 +124,14 @@ func TestServiceSnapshotCompaction(t *testing.T) {
 	}
 	s.Close()
 	if reg.Get(metrics.CounterWALSnapshots) == 0 {
-		t.Fatal("no snapshot written despite SnapshotEvery=5 and 12 events")
+		t.Fatal("no checkpoint cut despite SnapshotEvery=5 and 12 events")
 	}
-	// The WAL must have been compacted below the full event count.
-	wal, err := os.ReadFile(filepath.Join(dir, "wal.dat"))
-	if err != nil {
-		t.Fatal(err)
+	// The checkpoints left sorted runs behind for the next boot.
+	runs, err := filepath.Glob(filepath.Join(dir, "run-*.run"))
+	if err != nil || len(runs) == 0 {
+		t.Fatalf("no checkpoint run on disk (%v)", err)
 	}
-	snap, err := os.ReadFile(filepath.Join(dir, "snapshot.dat"))
-	if err != nil || len(snap) == 0 {
-		t.Fatalf("snapshot file missing: %v", err)
-	}
-	if len(wal) >= len(snap)*3 {
-		t.Errorf("WAL looks uncompacted: %d bytes vs snapshot %d", len(wal), len(snap))
-	}
-	// Full state survives the compaction boundary.
+	// Full state survives the checkpoint boundary.
 	s2 := openTestService(t, dir)
 	defer s2.Close()
 	sts := s2.Statuses()
@@ -218,7 +210,7 @@ func TestServiceRevertsOnLogFailure(t *testing.T) {
 	// Claim rollback: the failed-append path must also revert attempts.
 	s2 := openTestService(t, "")
 	s2.Submit(testJob("k"))
-	s2.log = s.log // closed log: appends fail
+	s2.lsm = s.lsm // closed store: commits fail
 	if _, ok := s2.Claim(); ok {
 		t.Error("Claim succeeded against a closed log")
 	}

@@ -56,12 +56,13 @@ func TestStreamMarkCommit(t *testing.T) {
 	}
 }
 
-// TestStreamMarkRecovery pins durability on both engines: committed
-// marks survive close/reopen exactly, uncommitted progress does not
-// exist, and marks for distinct jobs stay distinct.
+// TestStreamMarkRecovery pins durability under both accepted engine
+// settings (empty and EngineLSM): committed marks survive close/reopen
+// exactly, uncommitted progress does not exist, and marks for distinct
+// jobs stay distinct.
 func TestStreamMarkRecovery(t *testing.T) {
-	for _, engine := range []string{EngineWAL, EngineLSM} {
-		t.Run(engine, func(t *testing.T) {
+	for name, engine := range map[string]string{"default": "", "lsm": EngineLSM} {
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s, err := OpenService(ServiceConfig{Dir: dir, Engine: engine})
 			if err != nil {

@@ -1,8 +1,8 @@
 // Engine detection: which store formats live in a directory. The job
-// service uses this to refuse a boot that would silently shadow an
-// existing store — the engines' file sets are disjoint, so pointing
-// the LSM engine at a WAL-engine directory "works" but starts empty,
-// which after the default flip to lsm would look like data loss.
+// service uses this to refuse a boot that would silently shadow a
+// legacy store — the file sets are disjoint, so pointing the LSM engine
+// at a WAL-engine directory "works" but starts empty, which would look
+// exactly like data loss.
 package jobstore
 
 import (
@@ -12,7 +12,7 @@ import (
 )
 
 // DetectEngines reports which engines have persisted state in dir: wal
-// for the append-only Log (wal.dat / snapshot.dat), lsm for the LSM
+// for the legacy append-only log (wal.dat / snapshot.dat), lsm for the LSM
 // store (MANIFEST / WAL segments). A missing directory has neither.
 func DetectEngines(dir string) (wal, lsm bool) {
 	if fi, err := os.Stat(filepath.Join(dir, walName)); err == nil && fi.Size() > 0 {

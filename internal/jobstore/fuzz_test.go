@@ -2,19 +2,19 @@ package jobstore
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// FuzzReplay feeds arbitrary bytes to the WAL scanner: Open must never
-// panic or error on junk (junk is a torn tail, not an IO failure), the
-// recovered state must be appendable, and a second recovery must see
-// exactly the first recovery's entries plus the new append — i.e.
-// recovery is a fixed point no matter what was on disk. The same
-// property must hold across a snapshot: checkpoint + tail recovery
-// (snapshot watermark plus post-snapshot appends) is also a fixed
-// point.
+// FuzzReplay feeds arbitrary bytes to the legacy WAL scanner: Open must
+// never panic or error on junk (junk is a torn tail, not an IO
+// failure), must cut the file back to the committed prefix it
+// recovered, and recovery must be a fixed point — a second Open sees
+// exactly the first one's entries, plus any frame written after the
+// cut. A snapshot whose watermark covers every sequence number must
+// shadow the whole WAL.
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a wal at all"))
@@ -26,25 +26,30 @@ func FuzzReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, wal []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
-			t.Skip()
-		}
+		path := filepath.Join(dir, walName)
+		writeLegacy(t, dir, wal, nil, 0)
 		l, err := Open(dir)
 		if err != nil {
 			t.Fatalf("Open on arbitrary WAL bytes errored: %v", err)
 		}
 		recovered := l.Entries()
-		if _, err := l.Append([]byte("post-recovery")); err != nil {
-			t.Fatalf("Append after recovery: %v", err)
-		}
 		l.Close()
+		cut, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(wal, cut) {
+			t.Fatalf("Open left %d bytes that are not a prefix of the %d written", len(cut), len(wal))
+		}
 
+		// A frame written after the cut extends the committed prefix.
+		writeLegacy(t, dir, append(cut, frame(math.MaxUint64, []byte("post-recovery"))...), nil, 0)
 		r, err := Open(dir)
 		if err != nil {
 			t.Fatalf("second Open: %v", err)
 		}
-		defer r.Close()
 		again := r.Entries()
+		r.Close()
 		if len(again) != len(recovered)+1 {
 			t.Fatalf("second recovery has %d entries, want %d", len(again), len(recovered)+1)
 		}
@@ -57,32 +62,18 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("appended record lost: %q", again[len(again)-1])
 		}
 
-		// Checkpoint + tail: snapshot the recovered state, append one
-		// more record, and recover again — the snapshot watermark plus
-		// the post-snapshot tail must be exactly what was written.
-		if err := r.WriteSnapshot([]byte("state-at-snapshot")); err != nil {
-			t.Fatalf("WriteSnapshot: %v", err)
-		}
-		if _, err := r.Append([]byte("post-snapshot")); err != nil {
-			t.Fatalf("Append after snapshot: %v", err)
-		}
-		r.Close()
-
+		// A snapshot at the highest watermark covers every frame.
+		writeLegacy(t, dir, wal, []byte("state-at-snapshot"), math.MaxUint64)
 		s, err := Open(dir)
 		if err != nil {
-			t.Fatalf("post-snapshot Open: %v", err)
+			t.Fatalf("Open with snapshot: %v", err)
 		}
 		defer s.Close()
-		snap, snapSeq := s.Snapshot()
-		if string(snap) != "state-at-snapshot" {
-			t.Fatalf("snapshot payload lost: %q", snap)
+		if snap, seq := s.Snapshot(); string(snap) != "state-at-snapshot" || seq != math.MaxUint64 {
+			t.Fatalf("Snapshot = %q@%d, want state-at-snapshot@max", snap, seq)
 		}
-		if snapSeq == 0 || snapSeq > s.Seq() {
-			t.Fatalf("snapshot watermark %d outside committed range %d", snapSeq, s.Seq())
-		}
-		tail := s.Entries()
-		if len(tail) != 1 || string(tail[0]) != "post-snapshot" {
-			t.Fatalf("checkpoint+tail recovery saw %d entries %q, want [post-snapshot]", len(tail), tail)
+		if tail := s.Entries(); len(tail) != 0 {
+			t.Fatalf("snapshot at the highest watermark left %d entries %q", len(tail), tail)
 		}
 	})
 }

@@ -1,27 +1,27 @@
 // Package jobstore provides the durable substrate of the CDAS job
-// manager (Section 2.1, Figure 2): an append-only write-ahead log with
-// periodic snapshots, so a killed server can replay its job lifecycle
-// and resume unfinished work.
+// manager (Section 2.1, Figure 2): an LSM key/value store (lsm.go)
+// whose WAL segments and checkpointed sorted runs let a killed server
+// recover its job lifecycle and resume unfinished work.
 //
 // The store is deliberately payload-agnostic — it persists opaque byte
 // records and leaves their meaning to the caller (package jobs encodes
-// lifecycle events as JSON). Durability contract:
+// its records as JSON).
 //
-//   - Append frames the payload with a length, a monotone sequence
-//     number and a CRC-32 checksum, writes it to the WAL and fsyncs
-//     before returning. A returned Append is committed: it survives
-//     kill -9.
-//   - WriteSnapshot atomically replaces the snapshot file
-//     (write-temp, fsync, rename, fsync-dir) and then truncates the
-//     WAL. The snapshot frame carries the sequence number of the last
-//     record it covers.
-//   - Open loads the snapshot (if any) and replays WAL frames. A
-//     torn or corrupted tail — a crash mid-Append — is detected by the
-//     framing and cut off at the last intact record; every committed
-//     record before it is preserved. Records whose sequence number is
-//     at or below the snapshot watermark are skipped, which makes the
+// This file holds the read-only reader for the legacy append-only log
+// format (wal.dat plus snapshot.dat), which stores written before the
+// LSM engine still hold until cdas-storectl migrate converts them:
+//
+//   - Each record is framed with a length, a monotone sequence number
+//     and a CRC-32 checksum.
+//   - The snapshot frame carries the sequence number of the last record
+//     it covers.
+//   - Open loads the snapshot (if any) and replays WAL frames. A torn or
+//     corrupted tail — a crash mid-append — is detected by the framing
+//     and cut off at the last intact record; every committed record
+//     before it is preserved. Records whose sequence number is at or
+//     below the snapshot watermark are skipped, which makes the old
 //     crash window between snapshot rename and WAL truncation safe:
-//     replay is idempotent, nothing is applied twice.
+//     nothing is applied twice.
 package jobstore
 
 import (
@@ -32,14 +32,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"syscall"
 )
 
 const (
 	walName      = "wal.dat"
 	snapshotName = "snapshot.dat"
-	snapshotTmp  = "snapshot.tmp"
 
 	// headerSize is the per-frame header: 4-byte payload length,
 	// 8-byte sequence number, 4-byte CRC-32 (IEEE) over seq+payload.
@@ -52,54 +50,38 @@ const (
 
 // ErrCorruptSnapshot reports a snapshot file that exists but fails its
 // checksum. Unlike a torn WAL tail this is never produced by a crash —
-// snapshots are installed atomically — so it is surfaced loudly instead
-// of being silently dropped.
+// snapshots were installed atomically — so it is surfaced loudly
+// instead of being silently dropped.
 var ErrCorruptSnapshot = errors.New("jobstore: snapshot file is corrupt")
 
 // ErrLocked reports a store already opened by another live process.
-// Two writers interleaving frames would corrupt each other's committed
-// records, so the second Open fails fast instead. The lock is a flock
-// on the WAL file: the kernel releases it when the holder dies, so a
-// kill -9 never wedges the store.
+// The lock is a flock on the store's WAL file: the kernel releases it
+// when the holder dies, so a kill -9 never wedges the store.
 var ErrLocked = errors.New("jobstore: store is locked by another process")
 
-// Log is a durable append-only record log with snapshot compaction.
-// It is safe for concurrent use.
+// Log is an open legacy append-only log: the records recovered at Open,
+// held under the WAL file's lock until Close. Its accessors are safe
+// for concurrent use; Close must not race them.
 type Log struct {
-	mu  sync.Mutex
-	dir string
 	wal *os.File
 
-	seq     uint64 // last sequence number assigned
-	snapSeq uint64 // watermark: records <= snapSeq live in the snapshot
-
-	// State recovered at Open; immutable afterwards.
-	snapshot  []byte
-	entries   [][]byte
-	truncated bool
-
-	// appends counts WAL records since the last snapshot, for
-	// compaction policies.
-	appends int
-
-	closed bool
+	snapshot []byte
+	snapSeq  uint64 // watermark: records <= snapSeq live in the snapshot
+	entries  [][]byte
 }
 
-// Open opens (creating if needed) the log rooted at dir and recovers
-// its state: the latest snapshot plus every committed WAL record after
-// it. A torn or corrupted WAL tail is truncated in place.
+// Open locks the legacy log rooted at dir and recovers its state: the
+// latest snapshot plus every committed WAL record after it. A torn or
+// corrupted WAL tail is truncated in place.
 func Open(dir string) (*Log, error) {
 	if dir == "" {
 		return nil, errors.New("jobstore: dir is required")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("jobstore: %w", err)
-	}
-	l := &Log{dir: dir}
-	if err := l.loadSnapshot(); err != nil {
+	l := &Log{}
+	if err := l.loadSnapshot(dir); err != nil {
 		return nil, err
 	}
-	if err := l.replayWAL(); err != nil {
+	if err := l.replayWAL(dir); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -107,138 +89,21 @@ func Open(dir string) (*Log, error) {
 
 // Snapshot returns the snapshot payload recovered at Open (nil when the
 // log had none) and the sequence watermark it covers.
-func (l *Log) Snapshot() ([]byte, uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.snapshot, l.snapSeq
-}
+func (l *Log) Snapshot() ([]byte, uint64) { return l.snapshot, l.snapSeq }
 
 // Entries returns the WAL records recovered at Open, in append order,
 // excluding any already covered by the snapshot watermark.
-func (l *Log) Entries() [][]byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([][]byte, len(l.entries))
-	copy(out, l.entries)
-	return out
-}
+func (l *Log) Entries() [][]byte { return append([][]byte(nil), l.entries...) }
 
-// TailTruncated reports whether Open found (and cut off) a torn or
-// corrupted WAL tail — the signature of a crash mid-Append.
-func (l *Log) TailTruncated() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.truncated
-}
-
-// Seq returns the last committed sequence number.
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-// AppendsSinceSnapshot counts WAL records committed since the last
-// snapshot (including recovered ones) — the input to compaction policy.
-func (l *Log) AppendsSinceSnapshot() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
-}
-
-// Append commits one record: it is framed, written to the WAL and
-// fsynced before Append returns. The assigned sequence number is
-// returned.
-func (l *Log) Append(payload []byte) (uint64, error) { return l.append(payload, true) }
-
-// AppendNoSync writes a record without forcing it to disk — for
-// advisory records (e.g. progress) where losing the tail on a crash is
-// acceptable. Ordering is preserved: any later synced Append flushes
-// earlier unsynced records first, and a torn tail is still detected
-// and truncated on recovery.
-func (l *Log) AppendNoSync(payload []byte) (uint64, error) { return l.append(payload, false) }
-
-func (l *Log) append(payload []byte, sync bool) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, errors.New("jobstore: log is closed")
-	}
-	if len(payload) > maxRecordSize {
-		return 0, fmt.Errorf("jobstore: record of %d bytes exceeds the %d byte cap", len(payload), maxRecordSize)
-	}
-	seq := l.seq + 1
-	if _, err := l.wal.Write(frame(seq, payload)); err != nil {
-		return 0, fmt.Errorf("jobstore: append: %w", err)
-	}
-	if sync {
-		if err := l.wal.Sync(); err != nil {
-			return 0, fmt.Errorf("jobstore: fsync: %w", err)
-		}
-	}
-	l.seq = seq
-	l.appends++
-	return seq, nil
-}
-
-// WriteSnapshot installs payload as the new snapshot covering every
-// record committed so far, then truncates the WAL. The install is
-// atomic (temp file + rename); a crash at any point leaves either the
-// old snapshot with a full WAL or the new snapshot with a WAL whose
-// records are skipped by the sequence watermark on replay.
-func (l *Log) WriteSnapshot(payload []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("jobstore: log is closed")
-	}
-	tmp := filepath.Join(l.dir, snapshotTmp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobstore: snapshot: %w", err)
-	}
-	if _, err := f.Write(frame(l.seq, payload)); err != nil {
-		f.Close()
-		return fmt.Errorf("jobstore: snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("jobstore: snapshot fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("jobstore: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotName)); err != nil {
-		return fmt.Errorf("jobstore: snapshot install: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		return err
-	}
-	l.snapSeq = l.seq
-	// The WAL's records are now covered by the snapshot; drop them.
-	if err := l.wal.Truncate(0); err != nil {
-		return fmt.Errorf("jobstore: wal truncate: %w", err)
-	}
-	if _, err := l.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("jobstore: wal seek: %w", err)
-	}
-	if err := l.wal.Sync(); err != nil {
-		return fmt.Errorf("jobstore: wal fsync: %w", err)
-	}
-	l.appends = 0
-	return nil
-}
-
-// Close releases the WAL file handle. Append and WriteSnapshot fail
-// after Close; the recovered state remains readable.
+// Close releases the WAL file and its lock. The recovered state remains
+// readable. Close is idempotent.
 func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	if l.wal == nil {
 		return nil
 	}
-	l.closed = true
-	return l.wal.Close()
+	err := l.wal.Close()
+	l.wal = nil
+	return err
 }
 
 // frame encodes one record: [len u32][seq u64][crc u32][payload].
@@ -279,8 +144,9 @@ func parseFrame(data []byte) (seq uint64, payload []byte, size int, ok bool) {
 }
 
 // loadSnapshot reads the snapshot file, if present.
-func (l *Log) loadSnapshot() error {
-	data, err := os.ReadFile(filepath.Join(l.dir, snapshotName))
+func (l *Log) loadSnapshot(dir string) error {
+	path := filepath.Join(dir, snapshotName)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -292,18 +158,17 @@ func (l *Log) loadSnapshot() error {
 	}
 	seq, payload, size, ok := parseFrame(data)
 	if !ok || size != len(data) {
-		return fmt.Errorf("%w (%s)", ErrCorruptSnapshot, filepath.Join(l.dir, snapshotName))
+		return fmt.Errorf("%w (%s)", ErrCorruptSnapshot, path)
 	}
 	l.snapshot = append([]byte(nil), payload...)
 	l.snapSeq = seq
-	l.seq = seq
 	return nil
 }
 
-// replayWAL scans the WAL, collecting committed records past the
-// snapshot watermark and truncating any torn tail.
-func (l *Log) replayWAL() error {
-	path := filepath.Join(l.dir, walName)
+// replayWAL locks and scans the WAL, collecting committed records past
+// the snapshot watermark and truncating any torn tail.
+func (l *Log) replayWAL(dir string) error {
+	path := filepath.Join(dir, walName)
 	wal, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("jobstore: %w", err)
@@ -325,24 +190,15 @@ func (l *Log) replayWAL() error {
 		}
 		if seq > l.snapSeq {
 			l.entries = append(l.entries, append([]byte(nil), payload...))
-			l.appends++
-			if seq > l.seq {
-				l.seq = seq
-			}
 		}
 		offset += size
 	}
 	if offset < len(data) {
 		// Torn or corrupted tail: keep the committed prefix only.
-		l.truncated = true
 		if err := wal.Truncate(int64(offset)); err != nil {
 			wal.Close()
 			return fmt.Errorf("jobstore: tail truncate: %w", err)
 		}
-	}
-	if _, err := wal.Seek(int64(offset), io.SeekStart); err != nil {
-		wal.Close()
-		return fmt.Errorf("jobstore: %w", err)
 	}
 	l.wal = wal
 	return nil

@@ -3,12 +3,34 @@ package jobstore
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 )
+
+// frames encodes recs as consecutive legacy-log frames numbered from
+// seq first: the bytes the WAL engine appended.
+func frames(first uint64, recs ...string) []byte {
+	var out []byte
+	for i, r := range recs {
+		out = append(out, frame(first+uint64(i), []byte(r))...)
+	}
+	return out
+}
+
+// writeLegacy lays out a legacy store in dir: wal.dat holding wal and,
+// when snap is non-nil, snapshot.dat holding snap at watermark snapSeq.
+func writeLegacy(t *testing.T, dir string, wal, snap []byte, snapSeq uint64) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if snap != nil {
+		if err := os.WriteFile(filepath.Join(dir, snapshotName), frame(snapSeq, snap), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 func mustOpen(t *testing.T, dir string) *Log {
 	t.Helper()
@@ -17,15 +39,6 @@ func mustOpen(t *testing.T, dir string) *Log {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return l
-}
-
-func appendAll(t *testing.T, l *Log, recs ...string) {
-	t.Helper()
-	for _, r := range recs {
-		if _, err := l.Append([]byte(r)); err != nil {
-			t.Fatalf("Append(%q): %v", r, err)
-		}
-	}
 }
 
 func wantEntries(t *testing.T, l *Log, want ...string) {
@@ -41,75 +54,50 @@ func wantEntries(t *testing.T, l *Log, want ...string) {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "one", "two", "three")
-	if err := l.Close(); err != nil {
+// wantWALSize asserts wal.dat holds exactly n bytes — after a torn
+// tail, the committed prefix Open cut it back to.
+func wantWALSize(t *testing.T, dir string, n int) {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, walName))
+	if err != nil {
 		t.Fatal(err)
 	}
+	if fi.Size() != int64(n) {
+		t.Errorf("wal.dat is %d bytes, want %d", fi.Size(), n)
+	}
+}
+
+func TestRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	wal := frames(1, "one", "two", "three")
+	writeLegacy(t, dir, wal, nil, 0)
 
 	r := mustOpen(t, dir)
 	defer r.Close()
 	wantEntries(t, r, "one", "two", "three")
-	if r.TailTruncated() {
-		t.Error("clean WAL reported a truncated tail")
+	if snap, seq := r.Snapshot(); snap != nil || seq != 0 {
+		t.Errorf("Snapshot = %q@%d, want none", snap, seq)
 	}
-	if r.Seq() != 3 {
-		t.Errorf("Seq = %d, want 3", r.Seq())
-	}
+	wantWALSize(t, dir, len(wal))
 }
 
-func TestAppendAfterRecoveryContinuesSequence(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "a", "b")
-	l.Close()
-
-	r := mustOpen(t, dir)
-	appendAll(t, r, "c")
-	r.Close()
-
-	r2 := mustOpen(t, dir)
-	defer r2.Close()
-	wantEntries(t, r2, "a", "b", "c")
-	if r2.Seq() != 3 {
-		t.Errorf("Seq = %d, want 3", r2.Seq())
-	}
-}
-
-// TestTruncatedTail simulates kill -9 mid-Append: the last frame is cut
-// short. Recovery must keep every record whose Append returned and drop
-// only the torn tail.
+// TestTruncatedTail simulates kill -9 mid-append: the last frame is cut
+// short. Recovery must keep every record whose append returned, drop
+// only the torn tail, and cut it off on disk.
 func TestTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "committed-1", "committed-2", "torn")
-	l.Close()
-
-	path := filepath.Join(dir, walName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	committed := frames(1, "committed-1", "committed-2")
+	data := append(append([]byte(nil), committed...), frame(3, []byte("torn"))...)
 	for cut := 1; cut < headerSize+len("torn"); cut += 3 {
-		if err := os.WriteFile(path, data[:len(data)-cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeLegacy(t, dir, data[:len(data)-cut], nil, 0)
 		r := mustOpen(t, dir)
 		wantEntries(t, r, "committed-1", "committed-2")
-		if !r.TailTruncated() {
-			t.Errorf("cut=%d: torn tail not reported", cut)
-		}
-		// The truncated log must stay appendable and consistent.
-		appendAll(t, r, "after-crash")
 		r.Close()
+		wantWALSize(t, dir, len(committed))
+		// The cut log recovers to the same state again.
 		r2 := mustOpen(t, dir)
-		wantEntries(t, r2, "committed-1", "committed-2", "after-crash")
+		wantEntries(t, r2, "committed-1", "committed-2")
 		r2.Close()
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -117,28 +105,17 @@ func TestTruncatedTail(t *testing.T) {
 // catch it and recovery must keep all earlier committed records.
 func TestCorruptedTail(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "keep-1", "keep-2", "garbled")
-	l.Close()
-
-	path := filepath.Join(dir, walName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastFrame := len(data) - headerSize - len("garbled")
+	committed := frames(1, "keep-1", "keep-2")
+	data := append(append([]byte(nil), committed...), frame(3, []byte("garbled"))...)
+	lastFrame := len(committed)
 	for _, off := range []int{lastFrame, lastFrame + 5, lastFrame + headerSize, len(data) - 1} {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0xff
-		if err := os.WriteFile(path, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeLegacy(t, dir, mut, nil, 0)
 		r := mustOpen(t, dir)
 		wantEntries(t, r, "keep-1", "keep-2")
-		if !r.TailTruncated() {
-			t.Errorf("offset %d: corruption not reported", off)
-		}
 		r.Close()
+		wantWALSize(t, dir, len(committed))
 	}
 }
 
@@ -147,41 +124,22 @@ func TestCorruptedTail(t *testing.T) {
 // dropped rather than mis-parsed.
 func TestCorruptionMidLogDropsSuffix(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "first", "second", "third")
-	l.Close()
-
-	path := filepath.Join(dir, walName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := frames(1, "first", "second", "third")
 	// Flip a byte inside the second record's payload.
 	secondPayload := (headerSize + len("first")) + headerSize
 	data[secondPayload] ^= 0x55
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeLegacy(t, dir, data, nil, 0)
 	r := mustOpen(t, dir)
 	defer r.Close()
 	wantEntries(t, r, "first")
-	if !r.TailTruncated() {
-		t.Error("mid-log corruption not reported")
-	}
+	wantWALSize(t, dir, headerSize+len("first"))
 }
 
+// TestSnapshotCompactsWAL reads a store the WAL engine had compacted:
+// the snapshot covers a and b, and the WAL holds only the later c.
 func TestSnapshotCompactsWAL(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "a", "b")
-	if err := l.WriteSnapshot([]byte("state-after-b")); err != nil {
-		t.Fatal(err)
-	}
-	if n := l.AppendsSinceSnapshot(); n != 0 {
-		t.Errorf("AppendsSinceSnapshot = %d after snapshot, want 0", n)
-	}
-	appendAll(t, l, "c")
-	l.Close()
+	writeLegacy(t, dir, frames(3, "c"), []byte("state-after-b"), 2)
 
 	r := mustOpen(t, dir)
 	defer r.Close()
@@ -190,60 +148,32 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 		t.Errorf("Snapshot = %q@%d, want state-after-b@2", snap, seq)
 	}
 	wantEntries(t, r, "c")
-	if r.Seq() != 3 {
-		t.Errorf("Seq = %d, want 3", r.Seq())
-	}
 }
 
-// TestSnapshotCrashWindow simulates a crash after the snapshot rename
-// but before the WAL truncation: the stale WAL records are at or below
-// the snapshot watermark and must not be replayed twice.
+// TestSnapshotCrashWindow reads a store left by a crash after the
+// snapshot rename but before the WAL truncation: the stale WAL records
+// are at or below the snapshot watermark and must not be replayed
+// twice, while records past it still are.
 func TestSnapshotCrashWindow(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "a", "b")
-	l.Close()
-	wal, err := os.ReadFile(filepath.Join(dir, walName))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	l2 := mustOpen(t, dir)
-	if err := l2.WriteSnapshot([]byte("covers-a-b")); err != nil {
-		t.Fatal(err)
-	}
-	l2.Close()
-	// Restore the pre-truncation WAL: the crash left it behind.
-	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	writeLegacy(t, dir, frames(1, "a", "b"), []byte("covers-a-b"), 2)
 	r := mustOpen(t, dir)
-	defer r.Close()
 	snap, seq := r.Snapshot()
 	if string(snap) != "covers-a-b" || seq != 2 {
 		t.Fatalf("Snapshot = %q@%d, want covers-a-b@2", snap, seq)
 	}
 	wantEntries(t, r) // nothing replays: both records are covered
-	if r.Seq() != 2 {
-		t.Errorf("Seq = %d, want 2", r.Seq())
-	}
-	// New appends continue past the watermark.
-	appendAll(t, r, "c")
-	if r.Seq() != 3 {
-		t.Errorf("Seq after append = %d, want 3", r.Seq())
-	}
+	r.Close()
+
+	writeLegacy(t, dir, frames(1, "a", "b", "c"), []byte("covers-a-b"), 2)
+	r = mustOpen(t, dir)
+	defer r.Close()
+	wantEntries(t, r, "c")
 }
 
 func TestCorruptSnapshotIsLoud(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "a")
-	if err := l.WriteSnapshot([]byte("good")); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
+	writeLegacy(t, dir, frames(2, "b"), []byte("good"), 1)
 	path := filepath.Join(dir, snapshotName)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -260,15 +190,8 @@ func TestCorruptSnapshotIsLoud(t *testing.T) {
 
 func TestEmptyPayloadsAndBinaryRecords(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
 	bin := bytes.Repeat([]byte{0x00, 0xff, 0x13}, 100)
-	if _, err := l.Append(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(bin); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
+	writeLegacy(t, dir, frames(1, "", string(bin)), nil, 0)
 	r := mustOpen(t, dir)
 	defer r.Close()
 	got := r.Entries()
@@ -277,37 +200,8 @@ func TestEmptyPayloadsAndBinaryRecords(t *testing.T) {
 	}
 }
 
-func TestConcurrentAppends(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	const goroutines, per = 8, 20
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
-					t.Errorf("Append: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	l.Close()
-	r := mustOpen(t, dir)
-	defer r.Close()
-	if got := len(r.Entries()); got != goroutines*per {
-		t.Errorf("recovered %d records, want %d", got, goroutines*per)
-	}
-	if r.Seq() != goroutines*per {
-		t.Errorf("Seq = %d, want %d", r.Seq(), goroutines*per)
-	}
-}
-
-// TestDoubleOpenLocked: a second live opener must fail fast instead of
-// interleaving frames with the first.
+// TestDoubleOpenLocked: a second live opener (a migration racing a
+// server that still runs the old binary) must fail fast.
 func TestDoubleOpenLocked(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir)
@@ -315,19 +209,10 @@ func TestDoubleOpenLocked(t *testing.T) {
 	if _, err := Open(dir); !errors.Is(err, ErrLocked) {
 		t.Fatalf("second Open err = %v, want ErrLocked", err)
 	}
-	// Releasing the first handle frees the store.
-	l.Close()
+	// Releasing the first handle frees the store; Close is idempotent.
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 	r := mustOpen(t, dir)
 	r.Close()
-}
-
-func TestClosedLogRejectsWrites(t *testing.T) {
-	l := mustOpen(t, t.TempDir())
-	l.Close()
-	if _, err := l.Append([]byte("x")); err == nil {
-		t.Error("Append on closed log succeeded")
-	}
-	if err := l.WriteSnapshot([]byte("x")); err == nil {
-		t.Error("WriteSnapshot on closed log succeeded")
-	}
 }

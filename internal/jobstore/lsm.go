@@ -19,8 +19,8 @@
 //     goroutine (single-flight), so a checkpoint never blocks Apply;
 //     otherwise it runs inline, on the triggering caller.
 //   - Compaction merges the run stack into one run (dropping tombstones)
-//     once it grows past MaxRuns, synchronously by default or in the
-//     background when BackgroundCompaction is set.
+//     once it grows past MaxRuns, synchronously inside the checkpoint
+//     that finds the stack past the limit.
 //   - Open reads the MANIFEST, opens each run's footer/index/bloom
 //     (O(runs), not O(records)), deletes orphan files from interrupted
 //     installs, drops WAL segments fully covered by the watermark and
@@ -115,9 +115,6 @@ type LSMConfig struct {
 	// its outcome, after the flush completes and with no store locks
 	// held. This is how online checkpoint errors surface to the owner.
 	OnCheckpoint func(err error)
-	// BackgroundCompaction runs compaction in a goroutine instead of
-	// synchronously inside the triggering checkpoint.
-	BackgroundCompaction bool
 	// Fail is the failpoint hook (tests only; see failpoint.go).
 	Fail FailFunc
 }
@@ -188,11 +185,10 @@ type LSM struct {
 	// flushes and compactions — without blocking the commit path, which
 	// only ever takes mu. Lock order: maintMu before mu.
 	maintMu sync.Mutex
-	wg      sync.WaitGroup // background flushes and compactions
+	wg      sync.WaitGroup // background checkpoint flushes
 
-	boot       BootStats
-	compacting bool
-	closed     bool
+	boot   BootStats
+	closed bool
 	// poisoned is set when an injected crash fired (possibly on a
 	// background flush): the simulated process is dead, so every
 	// subsequent mutation must fail until the store is reopened.
@@ -804,10 +800,6 @@ func (l *LSM) Checkpoint() error {
 		}
 		if l.mem.len() == 0 {
 			needCompact := len(l.runs) > l.cfg.MaxRuns
-			if needCompact && l.cfg.BackgroundCompaction {
-				l.kickCompaction()
-				needCompact = false
-			}
 			l.mu.Unlock()
 			if needCompact {
 				return l.Compact()
@@ -966,11 +958,6 @@ func (l *LSM) flushFrozen() error {
 	}
 	if needCompact {
 		l.mu.Lock()
-		if l.cfg.BackgroundCompaction {
-			l.kickCompaction()
-			l.mu.Unlock()
-			return nil
-		}
 		err := l.compactLocked()
 		l.notePoisonLocked(err)
 		l.mu.Unlock()
@@ -1085,25 +1072,6 @@ func (l *LSM) syncDirFP() error {
 	return syncDir(l.dir)
 }
 
-// kickCompaction starts one background compaction if none is running.
-// The caller holds l.mu.
-func (l *LSM) kickCompaction() {
-	if l.compacting {
-		return
-	}
-	l.compacting = true
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		defer func() {
-			l.mu.Lock()
-			l.compacting = false
-			l.mu.Unlock()
-		}()
-		l.Compact()
-	}()
-}
-
 // Compact merges the whole run stack into a single run, dropping
 // tombstones (the output is the bottom level), and installs a manifest
 // pointing at it. The memtable and WAL are untouched: the watermark
@@ -1208,7 +1176,7 @@ func (l *LSM) mergeRuns() ([]kvEntry, error) {
 	}
 }
 
-// Close drains in-flight checkpoint flushes and compactions, then
+// Close drains in-flight checkpoint flushes, then
 // releases the WAL handle, run readers and the store lock. Mutations
 // fail after Close. Close is idempotent.
 func (l *LSM) Close() error {

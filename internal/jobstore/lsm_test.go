@@ -297,17 +297,11 @@ func TestLSMTornTailTruncated(t *testing.T) {
 }
 
 func TestLSMSharesDirWithLog(t *testing.T) {
-	// The two engines use disjoint file names: pointing one at the
-	// other's directory finds an empty store, not corruption.
+	// The LSM and the legacy log use disjoint file names: pointing the
+	// LSM at a legacy directory finds an empty store, not corruption,
+	// and leaves the legacy records readable.
 	dir := t.TempDir()
-	log, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := log.Append([]byte("wal engine record")); err != nil {
-		t.Fatal(err)
-	}
-	log.Close()
+	writeLegacy(t, dir, frames(1, "wal engine record"), nil, 0)
 	l, err := OpenLSM(LSMConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -316,6 +310,9 @@ func TestLSMSharesDirWithLog(t *testing.T) {
 	if got := dump(t, l); len(got) != 0 {
 		t.Fatalf("LSM sees %d keys in a Log directory", len(got))
 	}
+	log := mustOpen(t, dir)
+	defer log.Close()
+	wantEntries(t, log, "wal engine record")
 }
 
 // TestRunSortedIterationProperty pins the primary-iteration invariant:
